@@ -93,7 +93,6 @@ def build_scenario(
     trace_entries: bool = True,
     trace_aggregates: bool = True,
     auth_key: Optional[str] = None,
-    fast_forward: bool = True,
     queue_capacity: Optional[int] = None,
     queue_capacities: Optional[Dict[str, int]] = None,
     link_bandwidths: Optional[Dict[str, float]] = None,
@@ -134,7 +133,6 @@ def build_scenario(
         seed=seed,
         trace_entries=trace_entries,
         trace_aggregates=trace_aggregates,
-        fast_forward=fast_forward,
     )
     net = Internet(sim, backbone_size=backbone_size, backbone_latency=backbone_latency)
     if visited_attach is None:

@@ -32,16 +32,12 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = [
     "WORKLOADS",
-    "FF_DELTA_PAIRS",
     "run_event_churn",
     "run_event_cancel_churn",
     "run_scenario_build",
     "run_scenario_traffic",
-    "run_scenario_traffic_no_ff",
-    "run_fast_forward",
     "run_obs_overhead",
     "run_chaos_recovery",
-    "run_chaos_recovery_no_ff",
     "run_congestion",
     "run_sweep_throughput",
     "run_sweep_throughput_parallel",
@@ -136,51 +132,6 @@ def run_scenario_traffic(datagrams: int = 200, seed: int = 1401) -> Tuple[int, s
     return datagrams, "packets"
 
 
-def run_scenario_traffic_no_ff(
-    datagrams: int = 200, seed: int = 1401
-) -> Tuple[int, str]:
-    """``scenario_traffic`` with flow fast-forwarding disabled.
-
-    The per-event control: identical spec, trace, and digest, but every
-    datagram pays the full event loop.  ``scenario_traffic`` over this
-    workload's ops/sec is the fast path's measured speedup (the
-    report's ``fast_forward_deltas`` section computes it).
-    """
-    import dataclasses
-
-    from repro.experiment import Runner, canonical_traffic_spec
-
-    spec = dataclasses.replace(
-        canonical_traffic_spec(seed=seed, datagrams=datagrams),
-        fast_forward=False)
-    runner = Runner()
-    runner.run(spec)
-    assert runner.scenario is not None
-    assert runner.scenario.ha.packets_tunneled == datagrams
-    return datagrams, "packets"
-
-
-def run_fast_forward(datagrams: int = 200, seed: int = 1401) -> Tuple[int, str]:
-    """The fast path itself: canonical traffic with replay engaged.
-
-    Same stage as ``scenario_traffic`` but asserts the
-    :class:`~repro.netsim.fastforward.FastForwarder` actually replayed
-    the steady-state cascades (rather than silently falling back), so a
-    regression that disengages the fast path fails the workload instead
-    of just showing up as a slower number.  The unit is replayed
-    cascades.
-    """
-    from repro.experiment import Runner, canonical_traffic_spec
-
-    result = Runner().run(
-        canonical_traffic_spec(seed=seed, datagrams=datagrams))
-    ff = result.extras["fast_forward"]
-    assert ff["enabled"], "fast-forward flag off in canonical spec"
-    assert ff["engaged_runs"] >= 1, "fast-forward never engaged"
-    assert ff["replayed"] > 0, "fast-forward engaged but replayed nothing"
-    return ff["replayed"], "cascades"
-
-
 def run_obs_overhead(datagrams: int = 200, seed: int = 1401) -> Tuple[int, str]:
     """The scenario-traffic workload with full observability enabled.
 
@@ -203,12 +154,9 @@ def run_ledger_overhead(datagrams: int = 200, seed: int = 1401) -> Tuple[int, st
     """The canonical workload with full telemetry armed.
 
     Same traffic shape as ``scenario_traffic``, plus a run-ledger append
-    and the flight recorder on the trace stream.  The recorder forces
-    live execution (it stands the fast-forwarder aside), so the honest
-    comparator is ``scenario_traffic_no_ff``: that delta is the price of
-    the ledger append plus the per-entry ring copy.  Versus
-    ``scenario_traffic`` the number also includes the foregone replay
-    speedup — the real cost of arming telemetry on a hot path.
+    and the flight recorder on the trace stream; the delta against
+    ``scenario_traffic`` is the price of the ledger append plus the
+    ring.
     """
     import os
     import tempfile
@@ -242,24 +190,6 @@ def run_chaos_recovery(duration: float = 260.0, seed: int = 4242) -> Tuple[int, 
     from repro.analysis.chaos import run_chaos
 
     report = run_chaos(seed=seed, duration=duration)
-    assert report.faults, "fault plan applied no events"
-    assert report.registered, "mobile host failed to recover registration"
-    return report.trace_entries, "trace entries"
-
-
-def run_chaos_recovery_no_ff(
-    duration: float = 260.0, seed: int = 4242
-) -> Tuple[int, str]:
-    """``chaos_recovery`` with the fast-forward engine flag off.
-
-    The chaos conversation registers no fast-forwardable flows, so the
-    forwarder stands aside either way; this workload pins that claim —
-    the on/off delta in ``fast_forward_deltas`` should hover around
-    1.0, showing the fast path costs nothing when it cannot engage.
-    """
-    from repro.analysis.chaos import run_chaos
-
-    report = run_chaos(seed=seed, duration=duration, fast_forward=False)
     assert report.faults, "fault plan applied no events"
     assert report.registered, "mobile host failed to recover registration"
     return report.trace_entries, "trace entries"
@@ -423,12 +353,9 @@ WORKLOADS: Dict[str, Callable[..., Tuple[int, str]]] = {
     "event_cancel_churn": run_event_cancel_churn,
     "scenario_build": run_scenario_build,
     "scenario_traffic": run_scenario_traffic,
-    "scenario_traffic_no_ff": run_scenario_traffic_no_ff,
-    "fast_forward": run_fast_forward,
     "obs_overhead": run_obs_overhead,
     "ledger_overhead": run_ledger_overhead,
     "chaos_recovery": run_chaos_recovery,
-    "chaos_recovery_no_ff": run_chaos_recovery_no_ff,
     "congestion": run_congestion,
     "sweep_throughput": run_sweep_throughput,
     "sweep_throughput_j4": run_sweep_throughput_parallel,
@@ -437,23 +364,14 @@ WORKLOADS: Dict[str, Callable[..., Tuple[int, str]]] = {
     "mega_world": run_mega_world,
 }
 
-# Fast-forward on/off pairs the report derives speedup deltas from.
-FF_DELTA_PAIRS: Dict[str, str] = {
-    "scenario_traffic": "scenario_traffic_no_ff",
-    "chaos_recovery": "chaos_recovery_no_ff",
-}
-
 # Reduced iteration counts for CI smoke runs (--quick).
 _QUICK_ARGS: Dict[str, Dict[str, int]] = {
     "event_churn": {"n": 5_000},
     "event_cancel_churn": {"n": 4_000},
     "scenario_traffic": {"datagrams": 50},
-    "scenario_traffic_no_ff": {"datagrams": 50},
-    "fast_forward": {"datagrams": 50},
     "obs_overhead": {"datagrams": 50},
     "ledger_overhead": {"datagrams": 50},
     "chaos_recovery": {"duration": 130.0},
-    "chaos_recovery_no_ff": {"duration": 130.0},
     "congestion": {"datagrams": 200},
     "sweep_throughput": {"specs": 4, "datagrams": 20},
     "sweep_throughput_j4": {"specs": 4, "datagrams": 20},
@@ -508,15 +426,6 @@ def run_suite(quick: bool = False, repeat: int = 3) -> Dict[str, Any]:
     for name, func in WORKLOADS.items():
         kwargs = _QUICK_ARGS.get(name, {}) if quick else {}
         results[name] = _time_workload(func, kwargs, repeat=repeat)
-    deltas: Dict[str, Any] = {}
-    for on_name, off_name in FF_DELTA_PAIRS.items():
-        on, off = results.get(on_name), results.get(off_name)
-        if on and off and off["ops_per_sec"]:
-            deltas[on_name] = {
-                "ff_on_ops_per_sec": on["ops_per_sec"],
-                "ff_off_ops_per_sec": off["ops_per_sec"],
-                "speedup": on["ops_per_sec"] / off["ops_per_sec"],
-            }
     return {
         "meta": {
             "python": sys.version.split()[0],
@@ -526,7 +435,6 @@ def run_suite(quick: bool = False, repeat: int = 3) -> Dict[str, Any]:
             "repeat": repeat,
         },
         "results": results,
-        "fast_forward_deltas": deltas,
     }
 
 
@@ -560,11 +468,4 @@ def render_report(report: Dict[str, Any]) -> str:
         if name in speedups:
             line += f"   x{speedups[name]:.2f}"
         lines.append(line)
-    deltas = (report.get("fast_forward_deltas")
-              or report.get("optimized", {}).get("fast_forward_deltas", {}))
-    for name, delta in deltas.items():
-        lines.append(
-            f"fast-forward {name}: {delta['ff_on_ops_per_sec']:,.0f} on / "
-            f"{delta['ff_off_ops_per_sec']:,.0f} off ops/sec "
-            f"(x{delta['speedup']:.2f})")
     return "\n".join(lines)

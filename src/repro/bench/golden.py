@@ -38,21 +38,13 @@ def trace_digest(trace: "TraceLog") -> Tuple[str, int]:
     chaos determinism tests reuse this over fault-injected runs: same
     plan + same seed must reproduce the digest exactly.
     """
-    # One join + one update is byte-identical to per-line updates
-    # (UTF-8 of a concatenation is the concatenation of UTF-8).  Fast-
-    # forwarded entries carry a precomputed suffix of the seven constant
-    # fields (see repro.netsim.fastforward) — only the timestamp varies
-    # per replay, so only it is formatted here.
-    # Suffixes are never empty (they start with "|"), so ``or`` is a
-    # safe None-fallback.  Timestamps and suffixes are built in two
-    # C-speed passes and interleaved by one join — byte-identical to
-    # per-line concatenation (UTF-8 of a concatenation is the
-    # concatenation of UTF-8).
+    # Timestamps and suffixes are built in two C-speed passes and
+    # interleaved by one join + one update — byte-identical to per-line
+    # updates (UTF-8 of a concatenation is the concatenation of UTF-8).
     ds = list(map(vars, trace.entries))
     suffixes = [
-        d.get("digest_suffix")
-        or f"|{d['node']}|{d['action']}|{d['src']}|"
-           f"{d['dst']}|{d['wire_size']}|{d['detail']}\n"
+        f"|{d['node']}|{d['action']}|{d['src']}|"
+        f"{d['dst']}|{d['wire_size']}|{d['detail']}\n"
         for d in ds
     ]
     times = list(map(repr, [d["time"] for d in ds]))

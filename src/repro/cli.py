@@ -37,8 +37,7 @@ Subcommands:
   (partial results written, exit 130).
 * ``report``      — render a run ledger (or a committed
   ``BENCH_PR*.json`` trajectory) as markdown or JSON: phase-time
-  breakdown, slowest cells, fast-forward/cache efficacy, violation
-  index.
+  breakdown, slowest cells, cache efficacy, violation index.
 * ``mega``        — build a flyweight million-host world (see
   ``repro.netsim.population``), aim the canonical conversation at one
   pooled host, and report build time, bytes/host, and wheel
@@ -48,8 +47,8 @@ Subcommands:
 The global ``--obs-out report.json`` flag enables the observability
 layer (metrics registry snapshot, packet-lifecycle spans, engine
 sampler) on any scenario-building subcommand and writes the merged
-report when the command finishes; on ``sweep``/``chaos``/``fuzz`` it
-additionally carries the result-cache and fast-forward counters.
+report when the command finishes; on ``sweep`` it additionally
+carries the result-cache counters.
 
 The ``chaos``/``sweep``/``fuzz`` subcommands arm a postmortem flight
 recorder by default (``--no-flightrec`` disarms): a bounded ring of
@@ -425,7 +424,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         SpecGrid,
         SweepCheckpoint,
         SweepExecutor,
-        aggregate_fast_forward,
         demo_grid,
     )
     from .obs.ledger import RunLedger
@@ -527,14 +525,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         from .obs.metrics import MetricsRegistry
 
         # The report-side registry: worker processes are gone, so the
-        # fast-forward family reads the merged per-run totals, and the
         # cache family reads the live parent-side cache.
         registry = MetricsRegistry()
         if cache is not None:
             cache.register_metrics(registry)
-        ff_totals = aggregate_fast_forward(result.results)
-        registry.family("fast_forward", lambda: {
-            key: float(value) for key, value in ff_totals.items()})
         args._obs.append({
             "command": "sweep",
             "runs": result.runs,
@@ -595,7 +589,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             "command": "fuzz",
             "cases_run": report.cases_run,
             "failed": report.failed,
-            "fast_forward": dict(report.fast_forward),
         })
     return 1 if report.failed else 0
 

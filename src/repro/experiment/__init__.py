@@ -36,7 +36,6 @@ from .sweep import (
     SpecGrid,
     SweepExecutor,
     SweepResult,
-    aggregate_fast_forward,
     demo_grid,
     failed_result,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "CellFailedError",
     "Driver",
     "FAULT_ENV",
-    "aggregate_fast_forward",
     "ExperimentSpec",
     "ResultCache",
     "Runner",

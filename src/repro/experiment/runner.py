@@ -244,9 +244,6 @@ class Runner:
                 "checks": dict(monitor.checks),
             })
         extras = collect_extras() if collect_extras is not None else {}
-        if sim.fast_forward is not None:
-            extras = dict(extras)
-            extras["fast_forward"] = sim.fast_forward.stats()
         if flightrec is not None:
             extras = dict(extras)
             info: Dict[str, Any] = {
@@ -300,11 +297,7 @@ class Runner:
 # Traffic & adversary interpreters
 # ----------------------------------------------------------------------
 def _traffic_sink(*_args) -> None:
-    """Shared no-op receive callback; ``ff_pure`` lets the fast path
-    prune the delivery invoke from replay templates."""
-
-
-_traffic_sink.ff_pure = True
+    """Shared no-op receive callback for traffic-program sockets."""
 
 
 def _resolve_traffic_target(scenario: Scenario, target: Optional[str]):
@@ -360,33 +353,18 @@ def _schedule_traffic(scenario: Scenario, spec: ExperimentSpec) -> None:
         ch_sock.on_receive(_traffic_sink)
         dst_port = program.port
     indexed = program.payload_style == "indexed"
-    ff = sim.fast_forward
-    if ff is not None:
-        ff.register_traffic(
-            stacks=(mobile.stack, scenario.ch.stack),
-            sockets=(mh_sock, ch_sock),
-        )
     for index, event in enumerate(program.resolved_events()):
         if event["direction"] == "mh->ch":
-            origin, socket, dst = mobile, mh_sock, scenario.ch_ip
+            socket, dst = mh_sock, scenario.ch_ip
         else:
-            origin, socket, dst = ch_sock.stack.node, ch_sock, mobile.home_address
+            socket, dst = ch_sock, mobile.home_address
         payload = ("fuzz", index) if indexed else "x"
-        handle = sim.events.schedule(
+        sim.events.schedule(
             event["at"],
             lambda s=socket, p=payload, size=event["size"], d=dst:
                 s.sendto(p, size, d, dst_port),
             label=f"traffic-{index}",
         )
-        if ff is not None:
-            # Flow identity: same origin/destination/port/size dispatches
-            # are candidates for one replay template (payload content is
-            # still verified per-capture through the recorded invokes).
-            ff.register_flow_event(
-                handle, origin,
-                (event["direction"], str(dst), dst_port, event["size"]),
-                dst,
-            )
 
 
 def _schedule_adversary(scenario: Scenario, spec: ExperimentSpec) -> None:

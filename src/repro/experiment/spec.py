@@ -75,6 +75,24 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# Fields removed from the spec schema, with the type they used to have.
+# Spec, grid, and fuzz-repro files written before a removal still carry
+# the key; loading accepts a value of the old type and drops it.
+_RETIRED_FIELDS: Dict[str, type] = {"fast_forward": bool}
+
+
+def drop_retired_fields(data: Dict[str, Any], where: str) -> Dict[str, Any]:
+    """``data`` without its retired fields (each type-checked first)."""
+    retired = [name for name in data if name in _RETIRED_FIELDS]
+    if not retired:
+        return data
+    for name in retired:
+        _require(isinstance(data[name], _RETIRED_FIELDS[name]),
+                 f"{where} field {name!r} must be a "
+                 f"{_RETIRED_FIELDS[name].__name__}, got {data[name]!r}")
+    return {k: v for k, v in data.items() if k not in _RETIRED_FIELDS}
+
+
 @dataclass
 class TrafficProgram:
     """A deterministic UDP traffic schedule between CH and MH.
@@ -232,7 +250,6 @@ class ExperimentSpec:
     mobile_starts_away: bool = True
     trace_entries: bool = True
     trace_aggregates: bool = True
-    fast_forward: bool = True
     auth_key: Optional[str] = None
     # Link contention (see repro.netsim.link.Segment): a global bounded
     # transmit-queue depth, per-segment depth overrides, and per-segment
@@ -317,8 +334,8 @@ class ExperimentSpec:
                      "visited_filtering", "ch_filtering", "privacy",
                      "notify_correspondents", "with_dns",
                      "with_foreign_agent", "mobile_starts_away",
-                     "trace_entries", "trace_aggregates", "fast_forward",
-                     "absolute", "observe", "arm_invariants"):
+                     "trace_entries", "trace_aggregates", "absolute",
+                     "observe", "arm_invariants"):
             value = getattr(self, name)
             _require(isinstance(value, bool),
                      f"{name} must be a bool, got {value!r}")
@@ -423,7 +440,6 @@ class ExperimentSpec:
             "backbone_latency": self.backbone_latency,
             "trace_entries": self.trace_entries,
             "trace_aggregates": self.trace_aggregates,
-            "fast_forward": self.fast_forward,
             "auth_key": self.auth_key,
             "queue_capacity": self.queue_capacity,
             "queue_capacities": self.queue_capacities,
@@ -461,6 +477,7 @@ class ExperimentSpec:
     def from_dict(cls, data: Dict[str, Any]) -> "ExperimentSpec":
         _require(isinstance(data, dict),
                  f"experiment spec must be an object, got {data!r}")
+        data = drop_retired_fields(data, "experiment spec")
         unknown = set(data) - {f for f in cls.__dataclass_fields__}
         _require(not unknown,
                  f"experiment spec has unknown fields {sorted(unknown)}")

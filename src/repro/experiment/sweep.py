@@ -46,7 +46,7 @@ from ..obs.ledger import (
 )
 from .cache import ResultCache
 from .runner import Runner, RunResult
-from .spec import ExperimentSpec, SpecError, TrafficProgram
+from .spec import ExperimentSpec, SpecError, TrafficProgram, drop_retired_fields
 from .supervise import (
     CellFailedError,
     SweepCheckpoint,
@@ -59,7 +59,6 @@ __all__ = [
     "SpecGrid",
     "SweepResult",
     "SweepExecutor",
-    "aggregate_fast_forward",
     "demo_grid",
     "failed_result",
 ]
@@ -87,6 +86,7 @@ class SpecGrid:
             raise SpecError(f"grid base must be an object, got {self.base!r}")
         if not isinstance(self.axes, dict):
             raise SpecError(f"grid axes must be an object, got {self.axes!r}")
+        self.base = drop_retired_fields(self.base, "grid base")
         valid = set(ExperimentSpec.__dataclass_fields__)
         for name, values in self.axes.items():
             if name not in valid:
@@ -653,19 +653,6 @@ class SweepExecutor:
             else:
                 return {"result": data["result"], "attempts": attempt + 1,
                         "retries": retries}
-
-
-def aggregate_fast_forward(results: Sequence[RunResult]) -> Dict[str, int]:
-    """Sum per-run fast-forward stats across a sweep's results."""
-    totals = {
-        "engaged_runs": 0, "replayed": 0, "captured": 0,
-        "fallbacks": 0, "world_changes": 0,
-    }
-    for result in results:
-        stats = result.extras.get("fast_forward") or {}
-        for key in totals:
-            totals[key] += stats.get(key, 0)
-    return totals
 
 
 def demo_grid(

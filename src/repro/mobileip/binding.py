@@ -86,8 +86,8 @@ class PoolBlock:
         self.min_lifetime = min(lifetime) if count else DEFAULT_LIFETIME
         # A conservative lower bound on the earliest expiry of any live
         # entry.  Refreshes only push expiries later, so a stale floor
-        # errs small — which is the safe direction for both the
-        # fast-forward horizon and the prune guard.  The timer wheel
+        # errs small — which is the safe direction for the prune
+        # guard.  The timer wheel
         # advances it after each full refresh cycle.
         self.expiry_floor = (
             min(registered_at) + self.min_lifetime if count else float("inf")
@@ -335,21 +335,6 @@ class BindingTable:
             pruned += block.prune(now)
         self.expirations += pruned
         return pruned
-
-    def earliest_expiry(self, horizon: float = float("inf")) -> float:
-        """The soonest expiry of any stored binding, bounded by ``horizon``.
-
-        Block entries contribute their conservative ``expiry_floor``
-        (never later than any live entry's true expiry), which is the
-        safe direction for the fast-forward time horizon.
-        """
-        for binding in self._bindings.values():
-            if binding.expires_at < horizon:
-                horizon = binding.expires_at
-        for block in self._blocks:
-            if block.live and block.expiry_floor < horizon:
-                horizon = block.expiry_floor
-        return horizon
 
     def flush(self) -> int:
         """Drop every binding without counting deregistrations.

@@ -154,22 +154,6 @@ class CorrespondentHost(Node):
     def _on_my_segment(self, address: IPAddress) -> bool:
         return self._segment_iface(address) is not None
 
-    def ff_flow_signature(self, dst: IPAddress):
-        # Everything _binding_route_override reads at dispatch time:
-        # awareness, source address, and (mobile-aware only) the cached
-        # binding's care-of address plus whether it is link-local.  A
-        # binding learned, refreshed, or expired between replays changes
-        # the signature and forces real execution.
-        source = self._preferred_source()
-        if self.awareness is not Awareness.MOBILE_AWARE:
-            return ("ch", self.awareness, source)
-        binding = self.bindings.peek(dst)
-        if binding is not None and binding.valid_at(self.now):
-            care_of = binding.care_of_address
-            return ("ch", self.awareness, source, care_of,
-                    self._segment_iface(care_of))
-        return ("ch", self.awareness, source, None, None)
-
     def _segment_iface(self, address: IPAddress) -> Optional[str]:
         for iface in self.interfaces.values():
             if iface.up and iface.network is not None and iface.network.contains(address):

@@ -303,18 +303,6 @@ class HomeAgent(Node):
         if self.notify_correspondents and not packet.is_encapsulated:
             self._maybe_send_advisory(packet.src, packet.dst, care_of)
 
-    def ff_time_horizon(self, now: float) -> float:
-        # Beyond a binding's expiry the same packet would be dropped
-        # instead of tunneled; beyond an advisory rate-limit boundary
-        # the same packet would additionally emit an advisory.  Either
-        # way the cascade changes, so replay must stop short of both.
-        horizon = self.bindings.earliest_expiry(super().ff_time_horizon(now))
-        if self.notify_correspondents and self._last_advisory:
-            gate = min(self._last_advisory.values()) + ADVISORY_MIN_INTERVAL
-            if gate < horizon:
-                horizon = gate
-        return horizon
-
     def _maybe_send_advisory(
         self, correspondent: IPAddress, home: IPAddress, care_of: IPAddress
     ) -> None:

@@ -168,13 +168,6 @@ class MobileHost(Node):
     # ------------------------------------------------------------------
     # Attachment and movement
     # ------------------------------------------------------------------
-    def ff_flow_signature(self, dst):
-        # Mobile-host sends route through the §7 decision engine, whose
-        # knowledge/cache/detector state mutates on every dispatch in
-        # ways a capture cannot verify from the outside.  Never
-        # fast-forward flows originating here.
-        return None
-
     def attach_home(self, internet: "Internet", domain_name: str) -> None:
         """Initial placement on the home network with the home address."""
         internet.add_host(domain_name, self, address=self.home_address)

@@ -249,8 +249,7 @@ class Segment:
         self.frames_lost = 0
         self.queue_dropped = 0
         # Serialization occupancy, accumulated in *bits* so the counter
-        # stays an integer (exact, and fast-forward-safe: replay cells
-        # only track int attributes).  ``busy_seconds`` derives from it.
+        # stays an integer (exact).  ``busy_seconds`` derives from it.
         # In the legacy (queue_capacity=None) model the sum can exceed
         # wall time — that is the infinite-capacity artifact, made
         # visible.

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 from .addressing import IPAddress, UNSPECIFIED
-from .arp import ARP_CACHE_LIFETIME, ArpMessage, ArpService
+from .arp import ArpMessage, ArpService
 from .fragmentation import (
-    REASSEMBLY_TIMEOUT,
     FragmentationNeeded,
     Reassembler,
     fragment,
@@ -288,36 +287,6 @@ class Node:
             if iface.ip is not None:
                 return iface.ip
         return None
-
-    # ------------------------------------------------------------------
-    # Fast-forward hooks (see repro.netsim.fastforward)
-    # ------------------------------------------------------------------
-    def ff_flow_signature(self, dst: IPAddress):
-        """State a steady outbound flow to ``dst`` depends on.
-
-        Compared against a flow template's captured signature before
-        every replay; any change forces real execution.  ``None`` means
-        flows from this node can never be fast-forwarded (overridden by
-        the mobile host, whose send path mutates engine state the
-        capture cannot verify).
-        """
-        return ("node", self._preferred_source())
-
-    def ff_time_horizon(self, now: float) -> float:
-        """Earliest future time this node's time-dependent state could
-        change flow behavior (ARP freshness, reassembly expiry).
-        Subclasses extend with their own lifetimes."""
-        horizon = float("inf")
-        for cache in self.arp._caches.values():
-            for entry in cache.values():
-                expires = entry.learned_at + ARP_CACHE_LIFETIME
-                if expires < horizon:
-                    horizon = expires
-        for buffer in self.reassembler._buffers.values():
-            expires = buffer.first_seen + REASSEMBLY_TIMEOUT
-            if expires < horizon:
-                horizon = expires
-        return horizon
 
     # ------------------------------------------------------------------
     # Receiving

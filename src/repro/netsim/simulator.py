@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from ..obs.metrics import MetricsRegistry
 from .events import EventQueue, SimClock
-from .fastforward import FastForwarder
 from .link import Segment
 from .trace import TraceLog
 
@@ -36,17 +35,11 @@ class Simulator:
         seed: int = 1996,
         trace_entries: bool = True,
         trace_aggregates: bool = True,
-        fast_forward: bool = True,
     ):
         """``trace_entries=False`` drops per-event entries but keeps hop
         records and aggregate counters; additionally passing
         ``trace_aggregates=False`` turns tracing into a true no-op for
-        maximum-throughput runs (see :class:`TraceLog`).
-
-        ``fast_forward`` enables the steady-flow replay engine (see
-        :class:`~repro.netsim.fastforward.FastForwarder`); it changes
-        wall-clock only, never observable behavior, and disengages
-        itself whenever observability or invariants are armed."""
+        maximum-throughput runs (see :class:`TraceLog`)."""
         self.clock = SimClock()
         self.events = EventQueue(self.clock)
         self.trace = TraceLog(enabled=trace_entries, aggregates=trace_aggregates)
@@ -65,9 +58,6 @@ class Simulator:
         # Attached by repro.netsim.population when the run carries a
         # flyweight host population (pool + timer wheel).
         self.population = None
-        self.fast_forward: Optional[FastForwarder] = (
-            FastForwarder(self) if fast_forward else None
-        )
         trace = self.trace
         self.metrics.counter(
             "trace.events", read=lambda: sum(trace.action_counts.values()))
@@ -163,9 +153,7 @@ class Simulator:
         Attaches a :class:`~repro.obs.flightrec.FlightRecorder` ring
         buffer to the trace stream (``limit`` entries; see that module
         for the digest-neutrality argument).  Returns the recorder,
-        also kept on ``self.flightrec``; the fast-forwarder stands
-        aside while one is armed so the ring never misses replayed
-        entries.
+        also kept on ``self.flightrec``.
         """
         if self.flightrec is not None:
             raise RuntimeError(
@@ -183,9 +171,6 @@ class Simulator:
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: int = 1_000_000) -> float:
         """Run events (optionally up to an absolute time)."""
-        ff = self.fast_forward
-        if ff is not None:
-            return ff.run(until=until, max_events=max_events)
         return self.events.run(until=until, max_events=max_events)
 
     def run_for(self, duration: float, max_events: int = 1_000_000) -> float:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .packet import Packet
 
-__all__ = ["TraceEntry", "TraceLog"]
+__all__ = ["Subscriber", "TraceEntry", "TraceLog"]
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,35 @@ class TraceEntry:
     detail: str = ""
 
 
+# A live-stream observer: called with each event's entry and the packet
+# it describes (for state the entry does not freeze, such as TTL).
+Subscriber = Callable[[TraceEntry, Packet], None]
+
+
+def _snapshot(
+    time: float, node: str, action: str, packet: Packet, detail: str
+) -> TraceEntry:
+    """One event's entry, every field frozen now (packets mutate in place).
+
+    Built via __new__ + __dict__: the dataclass __init__ routes every
+    field through object.__setattr__, which dominates the hot path.
+    Field values are identical to the constructor call.
+    """
+    entry = TraceEntry.__new__(TraceEntry)
+    entry.__dict__.update(
+        time=time,
+        node=node,
+        action=action,
+        packet_repr=repr(packet),
+        trace_id=packet.trace_id,
+        src=str(packet.src),
+        dst=str(packet.dst),
+        wire_size=packet.wire_size,
+        detail=detail,
+    )
+    return entry
+
+
 class TraceLog:
     """Global record of packet events for one simulation run.
 
@@ -52,6 +81,14 @@ class TraceLog:
       and the incremental aggregates (action counts, drop reasons)
       but skips per-event :class:`TraceEntry` construction.
     * ``TraceLog()`` — full tracing; every event becomes an entry.
+
+    Observers of the live event stream (span recorder, invariant
+    monitor, flight recorder) :meth:`subscribe` a callable taking
+    ``(entry, packet)``.  Each event's :class:`TraceEntry` is built
+    once and handed to every subscriber in subscription order, at any
+    level — the fully disabled one included, where only subscribers
+    see the event.  With no subscribers the levels above cost exactly
+    what they always did.
     """
 
     def __init__(self, enabled: bool = True, aggregates: bool = True):
@@ -73,6 +110,7 @@ class TraceLog:
         # ``drops_by_reason``, so congestion drops are queryable without
         # scanning entries.
         self.losses_by_reason: Counter = Counter()
+        self.subscribers: List[Subscriber] = []
         if not self.aggregates:
             # Rebinding on the instance makes the disabled path a plain
             # no-op call — no flag checks on the hot path.
@@ -80,6 +118,22 @@ class TraceLog:
             self.note_link_bytes = (  # type: ignore[method-assign]
                 self._note_link_bytes_disabled
             )
+
+    # ------------------------------------------------------------------
+    # Subscribers
+    # ------------------------------------------------------------------
+    def subscribe(self, subscriber: Subscriber) -> None:
+        """Deliver every later event to ``subscriber(entry, packet)``."""
+        self.subscribers.append(subscriber)
+        if not self.aggregates:
+            self.note = self._publish  # type: ignore[method-assign]
+
+    def unsubscribe(self, subscriber: Subscriber) -> None:
+        """Stop delivering to ``subscriber``; a no-op if not subscribed."""
+        if subscriber in self.subscribers:
+            self.subscribers.remove(subscriber)
+        if not self.aggregates and not self.subscribers:
+            self.note = self._note_disabled  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # Recording
@@ -99,26 +153,29 @@ class TraceLog:
             self.drops_by_reason[detail] += 1
         elif action == "lost":
             self.losses_by_reason[detail] += 1
+        subscribers = self.subscribers
+        if not (self.enabled or subscribers):
+            return
+        entry = _snapshot(time, node, action, packet, detail)
         if self.enabled:
             entries = self.entries
             self._entries_by_id[packet.trace_id].append(len(entries))
-            # Build the frozen entry via __new__ + __dict__: the dataclass
-            # __init__ routes every field through object.__setattr__, which
-            # dominates the tracing-enabled hot path.  Field values are
-            # identical to the constructor call this replaces.
-            entry = TraceEntry.__new__(TraceEntry)
-            entry.__dict__.update(
-                time=time,
-                node=node,
-                action=action,
-                packet_repr=repr(packet),
-                trace_id=packet.trace_id,
-                src=str(packet.src),
-                dst=str(packet.dst),
-                wire_size=packet.wire_size,
-                detail=detail,
-            )
             entries.append(entry)
+        for subscriber in subscribers:
+            subscriber(entry, packet)
+
+    def _publish(
+        self,
+        time: float,
+        node: str,
+        action: str,
+        packet: Packet,
+        detail: str = "",
+    ) -> None:
+        """:meth:`note` at the disabled level while subscribers listen."""
+        entry = _snapshot(time, node, action, packet, detail)
+        for subscriber in self.subscribers:
+            subscriber(entry, packet)
 
     def _note_disabled(
         self,

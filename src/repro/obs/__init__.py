@@ -20,8 +20,8 @@ Three layers, each usable on its own:
 is **opt-in**: nothing here runs unless
 :meth:`~repro.netsim.simulator.Simulator.enable_observability` is
 called, and the disabled path is identical to the pre-observability
-simulator (the span recorder attaches by rebinding ``TraceLog.note``,
-the same trick the trace log's own no-op level uses).  The
+simulator (the span recorder is a ``TraceLog.subscribe`` subscriber,
+and an empty subscriber list costs nothing).  The
 ``obs_overhead`` workload in :mod:`repro.bench` keeps that promise
 honest.
 """

@@ -47,7 +47,6 @@ class EngineSampler:
         self.samples: List[Dict[str, Any]] = []
         self._last_link_bytes: Dict[str, int] = {}
         self._last_busy_bits: Dict[str, int] = {}
-        self._last_replayed = 0
         self._timer = None
         self._running = False
 
@@ -82,13 +81,6 @@ class EngineSampler:
         self._timer = self.sim.events.schedule(
             self.cadence, self._tick, label="obs:engine-sample"
         )
-
-    # The tick only *reads* engine state, so the fast-forwarder treats
-    # it as transparent: it neither blocks the replay horizon nor drops
-    # templates when it fires (samples taken mid-replay are tagged —
-    # see sample()).  Bound methods forward attribute lookups to the
-    # underlying function, so the marker is visible on scheduled events.
-    _tick.ff_transparent = True
 
     # ------------------------------------------------------------------
     def sample(self) -> Dict[str, Any]:
@@ -153,17 +145,6 @@ class EngineSampler:
                 "refreshes": pool.refreshes,
                 "wheel_depth": population.wheel.depth,
             }
-        # Fast-forward replay advances the clock without executing
-        # events, so depth/processed readings are misleading while a
-        # template replays: tag such samples instead of pretending the
-        # numbers are exact.  Samples from plain runs keep their shape.
-        ff = getattr(self.sim, "fast_forward", None)
-        if ff is not None:
-            replayed_delta = ff.replayed - self._last_replayed
-            if ff.active or replayed_delta:
-                sample["fast_forwarded"] = True
-                sample["replayed_since_last"] = replayed_delta
-            self._last_replayed = ff.replayed
         return sample
 
     # ------------------------------------------------------------------
@@ -181,8 +162,6 @@ class EngineSampler:
                 if depth > peak_queues.get(name, 0):
                     peak_queues[name] = depth
         count = len(self.samples)
-        fast_forwarded = sum(
-            1 for s in self.samples if s.get("fast_forwarded"))
         out = {
             "samples": count,
             "peak_pending": max(s["pending"] for s in self.samples),
@@ -204,8 +183,4 @@ class EngineSampler:
              if "population" in s), None)
         if last_population is not None:
             out["population"] = dict(last_population)
-        if fast_forwarded:
-            out["fast_forwarded_samples"] = fast_forwarded
-            out["replayed_in_samples"] = sum(
-                s.get("replayed_since_last", 0) for s in self.samples)
         return out

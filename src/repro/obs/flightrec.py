@@ -4,27 +4,20 @@ When a sweep cell, chaos run, or fuzz case ends in an invariant
 violation, the full trace is usually gone (large runs disable entry
 recording) or buried (a 260-second chaos run produces tens of
 thousands of entries).  The :class:`FlightRecorder` keeps a bounded
-ring buffer of the most recent trace events — attached with the same
-instance-rebinding ``TraceLog.note`` wrap the span recorder and the
-invariant monitor use, so an unarmed run pays nothing at all — and,
-on request, dumps the ring plus a snapshot of live engine state
-(event-queue depth, clock, per-node reassembly backlog, mobility
+ring buffer of the most recent trace events — a
+:meth:`~repro.netsim.trace.TraceLog.subscribe` subscriber like the span
+recorder and the invariant monitor, so an unarmed run pays nothing at
+all — and, on request, dumps the ring plus a snapshot of live engine
+state (event-queue depth, clock, per-node reassembly backlog, mobility
 bindings, segment health) to a ``flightrec.json`` for postmortem.
 
-Digest neutrality is by construction: the wrapper calls the original
-``note`` with unmodified arguments and only *reads* packet state, so
-the trace stream, RNG, and event order are untouched.  The one
-behavioral interaction is with the fast-forwarder: replayed cascades
-append entries directly to ``TraceLog.entries`` without calling
-``note()``, so the ring would silently miss them — the forwarder
-therefore stands aside (plain execution) whenever a recorder is
-armed, exactly as it does for observability and invariants.  The
-replayed-vs-real trace is byte-identical either way, so arming the
-recorder still never changes a digest.
+Digest neutrality is by construction: a subscriber only *reads* the
+event, so the trace stream, RNG, and event order are untouched.
 
-Entry snapshots are eager (packets mutate in place — TTL decrements,
-encapsulation), which makes the armed cost comparable to entry-level
-tracing; the ``ledger_overhead`` bench workload records it honestly.
+The ring holds the :class:`~repro.netsim.trace.TraceEntry` the trace
+log built for the event — the same object ``TraceLog.entries`` keeps
+when entries are on — so arming the recorder adds no per-event
+snapshot of its own.
 """
 
 from __future__ import annotations
@@ -36,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..netsim.simulator import Simulator
-    from ..netsim.trace import TraceLog
+    from ..netsim.trace import TraceEntry, TraceLog
 
 __all__ = ["FlightRecorder", "DEFAULT_FLIGHT_LIMIT", "FLIGHTREC_SCHEMA"]
 
@@ -56,42 +49,26 @@ class FlightRecorder:
         self.recorded = 0
         self.dumps = 0
         self._trace: Optional["TraceLog"] = None
-        self._wrapped_note = None
-        self._note_was_instance = False
 
     # ------------------------------------------------------------------
-    # Attachment (same instance-rebinding wrap as obs.spans / invariants)
+    # Attachment
     # ------------------------------------------------------------------
     def attach(self, trace: "TraceLog") -> None:
+        """Subscribe the ring to ``trace``'s live event stream."""
         if self._trace is not None:
             raise RuntimeError("flight recorder is already attached")
         self._trace = trace
-        self._note_was_instance = "note" in trace.__dict__
-        original = trace.note
-        self._wrapped_note = original
-        ring = self.ring
-
-        def note_with_flightrec(time, node, action, packet, detail=""):
-            original(time, node, action, packet, detail)
-            # Eager snapshot: packets mutate in place, so every field
-            # is frozen at note() time (same rule as TraceLog itself).
-            ring.append((
-                time, node, action, packet.trace_id, str(packet.src),
-                str(packet.dst), packet.wire_size, detail, repr(packet),
-            ))
-            self.recorded += 1
-
-        trace.note = note_with_flightrec  # type: ignore[method-assign]
+        trace.subscribe(self._record)
 
     def detach(self) -> None:
         if self._trace is None:
             return
-        if self._note_was_instance:
-            self._trace.note = self._wrapped_note  # type: ignore[method-assign]
-        else:
-            del self._trace.note  # fall back to the class method
+        self._trace.unsubscribe(self._record)
         self._trace = None
-        self._wrapped_note = None
+
+    def _record(self, entry: "TraceEntry", packet: Any) -> None:
+        self.ring.append(entry)
+        self.recorded += 1
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -100,12 +77,13 @@ class FlightRecorder:
         """The ring's contents, oldest first, as JSON-clean dicts."""
         return [
             {
-                "time": time, "node": node, "action": action,
-                "trace_id": trace_id, "src": src, "dst": dst,
-                "wire_size": wire_size, "detail": detail, "packet": packet,
+                "time": entry.time, "node": entry.node,
+                "action": entry.action, "trace_id": entry.trace_id,
+                "src": entry.src, "dst": entry.dst,
+                "wire_size": entry.wire_size, "detail": entry.detail,
+                "packet": entry.packet_repr,
             }
-            for (time, node, action, trace_id, src, dst,
-                 wire_size, detail, packet) in self.ring
+            for entry in self.ring
         ]
 
     def engine_state(self) -> Dict[str, Any]:

@@ -5,9 +5,8 @@ the ledger makes every grid cell a first-class, durable record instead
 of state trapped inside a worker process.  Each record is one JSON
 object on one line, stamped with :data:`LEDGER_SCHEMA`, carrying the
 spec content digest, seed, outcome, per-phase wall timings from the
-:class:`~repro.experiment.runner.Runner` profiler, fast-forward
-engagement stats, cache provenance, the final metrics snapshot, and
-any invariant violations.
+:class:`~repro.experiment.runner.Runner` profiler, cache provenance,
+the final metrics snapshot, and any invariant violations.
 
 Durability contract: every append is a **single** ``os.write`` of one
 complete line on an ``O_APPEND`` file descriptor.  POSIX appends of
@@ -26,7 +25,7 @@ Record kinds:
 :func:`validate_record` checks any record against the published
 per-kind schema; the ``repro-mobility report`` subcommand validates
 every line and renders the summaries (slowest cells, phase breakdown,
-fast-forward and cache efficacy, violation index).
+cache efficacy, violation index).
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ _REQUIRED: Dict[str, Dict[str, tuple]] = {
         "registered": (bool, type(None)),
         "provenance": (str,),
         "timings": (dict,),
-        "fast_forward": (dict, type(None)),
         "deliverability": (dict,),
         "metrics": (dict,),
         "flightrec": (dict, type(None)),
@@ -109,6 +107,9 @@ _OPTIONAL: Dict[str, Dict[str, tuple]] = {
         "failure": (dict, type(None)),
         # Dispatch attempts the supervisor spent on this cell (>= 1).
         "attempts": (int,),
+        # Replay-engine counters, written by ledgers that predate the
+        # engine's removal.
+        "fast_forward": (dict, type(None)),
     },
     "sweep-end": {
         # True when the sweep drained early on SIGINT/SIGTERM.
@@ -167,7 +168,6 @@ def run_record(
         "registered": result.registered,
         "provenance": provenance,
         "timings": dict(getattr(result, "timings", None) or {}),
-        "fast_forward": extras.get("fast_forward"),
         "deliverability": {
             key: result.deliverability.get(key)
             for key in ("sent", "delivered", "dropped", "lost",
@@ -344,14 +344,6 @@ def summarize_ledger(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     slowest = sorted(
         (r for r in runs if (r.get("timings") or {}).get("total")),
         key=lambda r: r["timings"]["total"], reverse=True)[:5]
-    ff_totals = {
-        "engaged_runs": 0, "replayed": 0, "captured": 0,
-        "fallbacks": 0, "world_changes": 0,
-    }
-    for record in runs:
-        stats = record.get("fast_forward") or {}
-        for key in ff_totals:
-            ff_totals[key] += stats.get(key, 0)
     cache_hits = sum(1 for r in runs if r.get("provenance") == "cache")
     checkpoint_hits = sum(
         1 for r in runs if r.get("provenance") == "checkpoint")
@@ -416,7 +408,6 @@ def summarize_ledger(records: List[Dict[str, Any]]) -> Dict[str, Any]:
             }
             for r in slowest
         ],
-        "fast_forward": ff_totals,
         "violation_index": violation_index,
         "wall": {
             "first_ts": min(timestamps) if timestamps else None,
@@ -476,15 +467,10 @@ def render_ledger_markdown(summary: Dict[str, Any]) -> str:
                 f"| {cell['label']} | {timings.get('total', 0.0):.4f} "
                 f"| {timings.get('drive', 0.0):.4f} "
                 f"| {cell['provenance']} |")
-    ff = summary["fast_forward"]
     lines += [
         "",
-        "## Fast-forward / cache efficacy",
+        "## Cache efficacy",
         "",
-        f"- replayed {ff['replayed']} dispatch(es) across "
-        f"{ff['engaged_runs']} engaged run(s); {ff['captured']} captured, "
-        f"{ff['fallbacks']} fallback(s), {ff['world_changes']} world "
-        f"change(s)",
         f"- cache: {provenance['cache']}/{summary['runs']} runs served "
         f"from cache",
     ]

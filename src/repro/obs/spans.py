@@ -16,10 +16,8 @@ Parent/child links therefore mirror the encapsulation stack, which is
 exactly the structure the paper's byte-overhead arguments (§3.3) are
 about: the cost of a mode is the extra spans its packets travel inside.
 
-The recorder attaches by wrapping :meth:`TraceLog.note` — the same
-instance-rebinding trick the trace log itself uses for its disabled
-level — so a simulator with spans off pays nothing, not even a flag
-check.
+The recorder attaches as a :meth:`TraceLog.subscribe` subscriber, so a
+simulator with spans off pays nothing for them.
 
 Spans export as Chrome ``trace_event`` JSON (load the file at
 ``chrome://tracing`` or https://ui.perfetto.dev) and summarize into
@@ -33,7 +31,7 @@ import json
 from typing import Any, Dict, List, Optional
 
 from ..netsim.packet import IPProto, Packet
-from ..netsim.trace import TraceLog
+from ..netsim.trace import TraceEntry, TraceLog
 from .metrics import LATENCY_BUCKETS, SIZE_BUCKETS, Histogram
 
 __all__ = ["Span", "SpanRecorder"]
@@ -85,67 +83,47 @@ class SpanRecorder:
         self._stacks: Dict[int, List[Span]] = {}
         self._finished: set = set()
         self._trace: Optional[TraceLog] = None
-        self._wrapped_note = None
-        self._note_was_instance = False
 
     # ------------------------------------------------------------------
     # Attachment
     # ------------------------------------------------------------------
     def attach(self, trace: TraceLog) -> None:
-        """Wrap ``trace.note`` so every event also feeds the recorder.
-
-        Composes with every :class:`TraceLog` level, including the
-        fully-disabled one (whose no-op ``note`` is simply called and
-        does nothing before the recorder sees the event).
-        """
+        """Subscribe to ``trace`` (at any level, even fully disabled)."""
         if self._trace is not None:
             raise RuntimeError("span recorder is already attached")
         self._trace = trace
-        # The disabled trace level stores its no-op note in the instance
-        # dict; remember which case we wrapped so detach can restore it.
-        self._note_was_instance = "note" in trace.__dict__
-        original = trace.note
-        self._wrapped_note = original
-        on_event = self.on_event
-
-        def note_with_spans(time, node, action, packet, detail=""):
-            original(time, node, action, packet, detail)
-            on_event(time, node, action, packet, detail)
-
-        trace.note = note_with_spans  # type: ignore[method-assign]
+        trace.subscribe(self.on_event)
 
     def detach(self) -> None:
         if self._trace is None:
             return
-        if self._note_was_instance:
-            self._trace.note = self._wrapped_note  # type: ignore[method-assign]
-        else:
-            del self._trace.note  # fall back to the class method
+        self._trace.unsubscribe(self.on_event)
         self._trace = None
-        self._wrapped_note = None
 
     # ------------------------------------------------------------------
     # Event intake
     # ------------------------------------------------------------------
-    def on_event(
-        self, time: float, node: str, action: str, packet: Packet, detail: str = ""
-    ) -> None:
-        trace_id = packet.trace_id
+    def on_event(self, entry: TraceEntry, packet: Packet) -> None:
+        trace_id = entry.trace_id
         if trace_id in self._finished:
             return
+        time = entry.time
+        node = entry.node
+        action = entry.action
+        wire_size = entry.wire_size
         stack = self._stacks.get(trace_id)
         if stack is None:
             root = self._open(None, trace_id, f"datagram-{trace_id}",
                               "packet", node, time)
-            root.args["src"] = str(packet.src)
-            root.args["dst"] = str(packet.dst)
-            root.args["base_bytes"] = packet.wire_size
-            root.args["max_bytes"] = packet.wire_size
+            root.args["src"] = entry.src
+            root.args["dst"] = entry.dst
+            root.args["base_bytes"] = wire_size
+            root.args["max_bytes"] = wire_size
             stack = self._stacks[trace_id] = [root]
             if action == "send":
                 return
         root = stack[0]
-        wire_size = packet.wire_size
+        detail = entry.detail
         if wire_size > root.args["max_bytes"]:
             root.args["max_bytes"] = wire_size
 

@@ -134,9 +134,6 @@ class CaseResult:
     violations: List[Dict[str, Any]]
     checks: Dict[str, int]
     trace_entries: int
-    # The run's fast-forward counters (``extras["fast_forward"]``), so
-    # a campaign can aggregate engine efficacy; empty if absent.
-    fast_forward: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -239,7 +236,6 @@ def run_case(
         violations=list(result.invariants["violations"]),
         checks=dict(result.invariants["checks"]),
         trace_entries=result.trace_entries,
-        fast_forward=dict(result.extras.get("fast_forward") or {}),
     )
 
 
@@ -318,10 +314,6 @@ def shrink_case(
 # ----------------------------------------------------------------------
 # The fuzz loop
 # ----------------------------------------------------------------------
-_FF_TOTAL_KEYS = ("engaged_runs", "replayed", "captured", "fallbacks",
-                  "world_changes")
-
-
 @dataclass
 class FuzzReport:
     """Outcome of one fuzzing campaign."""
@@ -335,8 +327,6 @@ class FuzzReport:
     violations: List[Dict[str, Any]] = field(default_factory=list)
     repro_path: Optional[str] = None
     flightrec_path: Optional[str] = None
-    # Campaign-total fast-forward counters, summed across cases.
-    fast_forward: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -349,7 +339,6 @@ class FuzzReport:
             "violations": self.violations,
             "repro_path": self.repro_path,
             "flightrec_path": self.flightrec_path,
-            "fast_forward": dict(self.fast_forward),
         }
 
     def render(self) -> str:
@@ -402,14 +391,11 @@ def run_fuzz(
     """
     master = random.Random(seed)
     report = FuzzReport(seed=seed, iterations=iterations)
-    report.fast_forward = {key: 0 for key in _FF_TOTAL_KEYS}
     for _ in range(iterations):
         case_seed = master.randrange(1 << 31)
         case = generate_case(case_seed)
         result = run_case(case, max_tunnel_depth=max_tunnel_depth, cache=cache)
         report.cases_run += 1
-        for key in _FF_TOTAL_KEYS:
-            report.fast_forward[key] += result.fast_forward.get(key, 0)
         if result.ok:
             continue
         report.failed = True

@@ -2,8 +2,8 @@
 
 The simulator's :class:`~repro.netsim.trace.TraceLog` already sees
 every packet event in a run.  The :class:`InvariantMonitor` rides that
-stream — attaching with the same instance-rebinding wrap the span
-recorder uses, so a run without it pays nothing — and checks a set of
+stream — as a :meth:`~repro.netsim.trace.TraceLog.subscribe`
+subscriber, so a run without it pays nothing — and checks a set of
 properties that must hold in *any* correct execution, whatever the
 topology, traffic mix, fault schedule, or adversary:
 
@@ -57,7 +57,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..mobileip.binding import BindingTable
 from ..netsim.fragmentation import ReassemblyBuffer, fragment
 from ..netsim.packet import IPProto, Packet
-from ..netsim.trace import TraceLog
+from ..netsim.trace import TraceEntry, TraceLog
 
 __all__ = ["Violation", "InvariantMonitor", "INVARIANTS"]
 
@@ -190,8 +190,6 @@ class InvariantMonitor:
         self.checks: Dict[str, int] = {name: 0 for name in INVARIANTS}
         self._states: Dict[int, _TraceState] = {}
         self._trace: Optional[TraceLog] = None
-        self._wrapped_note = None
-        self._note_was_instance = False
         self._finished = False
         if simulator is not None:
             metrics = simulator.metrics
@@ -203,40 +201,29 @@ class InvariantMonitor:
                 "invariant.checks_by_name", lambda: dict(self.checks))
 
     # ------------------------------------------------------------------
-    # Attachment (same instance-rebinding wrap as obs.spans)
+    # Attachment
     # ------------------------------------------------------------------
     def attach(self, trace: TraceLog) -> None:
+        """Subscribe to ``trace``'s live event stream."""
         if self._trace is not None:
             raise RuntimeError("invariant monitor is already attached")
         self._trace = trace
-        self._note_was_instance = "note" in trace.__dict__
-        original = trace.note
-        self._wrapped_note = original
-        on_event = self.on_event
-
-        def note_with_invariants(time, node, action, packet, detail=""):
-            original(time, node, action, packet, detail)
-            on_event(time, node, action, packet, detail)
-
-        trace.note = note_with_invariants  # type: ignore[method-assign]
+        trace.subscribe(self.on_event)
 
     def detach(self) -> None:
         if self._trace is None:
             return
-        if self._note_was_instance:
-            self._trace.note = self._wrapped_note  # type: ignore[method-assign]
-        else:
-            del self._trace.note  # fall back to the class method
+        self._trace.unsubscribe(self.on_event)
         self._trace = None
-        self._wrapped_note = None
 
     # ------------------------------------------------------------------
     # Event intake
     # ------------------------------------------------------------------
-    def on_event(
-        self, time: float, node: str, action: str, packet: Packet, detail: str = ""
-    ) -> None:
-        trace_id = packet.trace_id
+    def on_event(self, entry: TraceEntry, packet: Packet) -> None:
+        time = entry.time
+        node = entry.node
+        action = entry.action
+        trace_id = entry.trace_id
         state = self._states.get(trace_id)
         if state is None:
             state = self._states[trace_id] = _TraceState()
@@ -253,9 +240,9 @@ class InvariantMonitor:
         elif action == "forward":
             self._check_forward(time, node, packet, state)
         elif action == "fragment":
-            self._check_fragmentation(time, node, packet, detail)
+            self._check_fragmentation(time, node, packet, entry.detail)
         elif action == "drop":
-            self._check_filter(time, node, packet, detail)
+            self._check_filter(time, node, packet, entry.detail)
 
     # ------------------------------------------------------------------
     # Individual checks

@@ -106,14 +106,12 @@ class TestDriverHook:
         result = Runner().run(canonical_traffic_spec(datagrams=5), driver)
         assert seen["seed"] == 1401
         assert seen["mh"]  # driver saw the built scenario
-        assert result.extras["note"] == "collected"
-        # The fast-forward engine reports alongside driver extras.
-        assert result.extras["fast_forward"]["enabled"] is True
+        assert result.extras == {"note": "collected"}
 
     def test_driver_without_collector(self):
         result = Runner().run(
             canonical_traffic_spec(datagrams=5), lambda sc, sp: None)
-        assert set(result.extras) == {"fast_forward"}
+        assert result.extras == {}
 
 
 class TestPhaseTimings:

@@ -80,6 +80,25 @@ class TestJsonRoundTrip:
             {"case": {}, "violations": [], "spec": spec.to_dict()}))
         assert ExperimentSpec.from_file(str(repro)) == spec
 
+    def test_retired_field_loads_and_is_dropped(self, tmp_path):
+        # Spec, grid, and fuzz-repro files written while the flow
+        # replay engine existed carry a boolean ``fast_forward`` key.
+        legacy = canonical_traffic_spec(datagrams=3).to_dict()
+        legacy["fast_forward"] = True
+        spec = ExperimentSpec.from_dict(legacy)
+        assert spec == canonical_traffic_spec(datagrams=3)
+        assert "fast_forward" not in spec.to_dict()
+        assert "fast_forward" not in json.loads(spec.to_json())
+        repro = tmp_path / "repro.json"
+        repro.write_text(json.dumps({"case": {}, "spec": legacy}))
+        assert ExperimentSpec.from_file(str(repro)) == spec
+
+    def test_retired_field_keeps_its_type_check(self):
+        legacy = ExperimentSpec().to_dict()
+        legacy["fast_forward"] = "yes"
+        with pytest.raises(SpecError, match="fast_forward"):
+            ExperimentSpec.from_dict(legacy)
+
     def test_from_file_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")

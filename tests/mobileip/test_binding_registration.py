@@ -270,15 +270,6 @@ class TestPoolBlocks:
         assert len(table) == 3
         assert table.expirations == 3
 
-    def test_earliest_expiry_sees_block_floor(self):
-        table, block = _block_table(now=0.0, lifetime=100.0)
-        assert table.earliest_expiry() == 100.0
-        table.register(IPAddress("10.9.0.1"), COA, now=0.0, lifetime=40.0)
-        assert table.earliest_expiry() == 40.0
-        # A dead block contributes nothing.
-        table.prune(now=200.0)
-        assert table.earliest_expiry(horizon=999.0) == 999.0
-
     def test_flush_counts_block_entries(self):
         table, _ = _block_table(count=5)
         table.register(IPAddress("10.9.0.1"), COA, now=0.0)

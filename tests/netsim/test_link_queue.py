@@ -32,8 +32,7 @@ class Wire:
 
     def __init__(self, seed=42, latency=0.001, bandwidth=8_000,
                  queue_capacity=None, trace_entries=True):
-        self.sim = Simulator(seed=seed, trace_entries=trace_entries,
-                             fast_forward=False)
+        self.sim = Simulator(seed=seed, trace_entries=trace_entries)
         self.segment = self.sim.segment(
             "wire", latency=latency, bandwidth=bandwidth,
             queue_capacity=queue_capacity)

@@ -1,0 +1,143 @@
+"""Tests for TraceLog's subscriber list: the one live-stream hook."""
+
+import pytest
+
+from repro.experiment import Runner, canonical_traffic_spec
+from repro.netsim.addressing import IPAddress
+from repro.netsim.packet import IPProto, Packet
+from repro.netsim.simulator import Simulator
+from repro.netsim.trace import TraceEntry, TraceLog
+
+GOLDEN_DIGEST = "6c91661118a78681dfe5624d953ae85bb5a3f6e3b7e88fc4d166a9a121cf8a8f"
+GOLDEN_ENTRIES = 3618
+
+
+def _packet():
+    return Packet(src=IPAddress("10.3.0.10"), dst=IPAddress("10.1.0.10"),
+                  proto=IPProto.UDP, payload_size=100)
+
+
+def _recording(log, name):
+    def subscriber(entry, packet):
+        log.append((name, entry.action, packet.trace_id))
+    return subscriber
+
+
+class TestDelivery:
+    def test_each_subscriber_gets_one_shared_entry_and_the_packet(self):
+        trace = TraceLog()
+        seen = []
+        trace.subscribe(lambda entry, packet: seen.append((entry, packet)))
+        trace.subscribe(lambda entry, packet: seen.append((entry, packet)))
+        packet = _packet()
+        trace.note(1.5, "r1", "forward", packet, "why")
+        (first, p1), (second, p2) = seen
+        assert first is second is trace.entries[0]
+        assert p1 is p2 is packet
+        assert isinstance(first, TraceEntry)
+        assert (first.time, first.node, first.action, first.detail) == (
+            1.5, "r1", "forward", "why")
+        assert first.trace_id == packet.trace_id
+        assert first.packet_repr == repr(packet)
+
+    def test_delivery_order_is_subscription_order(self):
+        trace = TraceLog()
+        log = []
+        for name in ("a", "b", "c"):
+            trace.subscribe(_recording(log, name))
+        packet = _packet()
+        trace.note(0.0, "n", "send", packet)
+        assert [name for name, _, _ in log] == ["a", "b", "c"]
+
+    def test_arming_order_is_obs_invariants_recorder(self):
+        sim = Simulator(seed=1)
+        obs = sim.enable_observability(engine_cadence=None)
+        monitor = sim.enable_invariants()
+        recorder = sim.enable_flight_recorder(limit=8)
+        assert sim.trace.subscribers == [
+            obs.spans.on_event, monitor.on_event, recorder._record]
+
+
+class TestDetach:
+    def test_unsubscribe_removes_only_its_own_and_is_idempotent(self):
+        trace = TraceLog()
+        log = []
+        first, second = _recording(log, "a"), _recording(log, "b")
+        trace.subscribe(first)
+        trace.subscribe(second)
+        trace.unsubscribe(first)
+        trace.unsubscribe(first)
+        assert trace.subscribers == [second]
+        trace.note(0.0, "n", "send", _packet())
+        assert [name for name, _, _ in log] == ["b"]
+
+    def test_component_detach_leaves_the_others_subscribed(self):
+        sim = Simulator(seed=1)
+        obs = sim.enable_observability(engine_cadence=None)
+        monitor = sim.enable_invariants()
+        recorder = sim.enable_flight_recorder(limit=8)
+        monitor.detach()
+        monitor.detach()
+        assert sim.trace.subscribers == [obs.spans.on_event, recorder._record]
+        obs.disable()
+        recorder.detach()
+        assert sim.trace.subscribers == []
+        assert "note" not in sim.trace.__dict__
+
+
+class TestDisabledLevel:
+    def test_subscribers_still_hear_a_fully_disabled_log(self):
+        from repro.obs import SpanRecorder
+
+        trace = TraceLog(enabled=False, aggregates=False)
+        log = []
+        trace.subscribe(_recording(log, "a"))
+        spans = SpanRecorder()
+        spans.attach(trace)
+        packet = _packet()
+        trace.note(0.0, "src", "send", packet)
+        trace.note(0.2, "dst", "deliver", packet)
+        assert [action for _, action, _ in log] == ["send", "deliver"]
+        (root,) = spans.roots()
+        assert root.args["delivered"] is True
+        # Subscribers do not switch the log's own recording on.
+        assert trace.entries == []
+        assert not trace.action_counts
+        assert packet.hops == []
+
+    def test_last_unsubscribe_restores_the_no_op(self):
+        trace = TraceLog(enabled=False, aggregates=False)
+        disabled = trace.note
+        subscriber = _recording([], "a")
+        trace.subscribe(subscriber)
+        assert trace.note != disabled
+        trace.unsubscribe(subscriber)
+        assert trace.note == disabled
+
+
+class TestArmedRuns:
+    @pytest.fixture(scope="class")
+    def armed(self, tmp_path_factory):
+        runner = Runner(
+            flightrec_path=str(tmp_path_factory.mktemp("fr") / "fr.json"),
+            flightrec_limit=10_000)
+        result = runner.run(canonical_traffic_spec(
+            observe=True, arm_invariants=True))
+        return runner, result
+
+    def test_golden_digest_with_spans_invariants_and_recorder(self, armed):
+        runner, result = armed
+        sim = runner.scenario.sim
+        assert sim.obs is not None and sim.invariants is not None
+        assert sim.flightrec is not None
+        assert result.digest == GOLDEN_DIGEST
+        assert result.trace_entries == GOLDEN_ENTRIES
+        assert result.invariants["violation_count"] == 0
+
+    def test_ring_holds_the_trace_log_entries_themselves(self, armed):
+        runner, _ = armed
+        sim = runner.scenario.sim
+        ring = list(sim.flightrec.ring)
+        assert len(ring) == sim.flightrec.recorded
+        tail = sim.trace.entries[-len(ring):]
+        assert all(a is b for a, b in zip(ring, tail))

@@ -147,50 +147,3 @@ class TestObservabilityFacade:
         with pytest.raises(RuntimeError):
             obs.export_chrome_trace("/tmp/nope.json")
         assert "spans" not in obs.report()
-
-
-class TestSamplerUnderFastForward:
-    """The sampler must survive replayed cascades: its tick is
-    ``ff_transparent`` (read-only), so the forwarder executes it
-    benignly mid-replay instead of treating it as a world change —
-    and the samples taken there are tagged."""
-
-    def _run(self, fast_forward):
-        import dataclasses
-
-        from repro.experiment import Runner, canonical_traffic_spec
-
-        spec = dataclasses.replace(
-            canonical_traffic_spec(datagrams=60),
-            fast_forward=fast_forward)
-        samplers = []
-
-        def driver(scenario, _spec):
-            sampler = EngineSampler(scenario.sim, cadence=0.5)
-            sampler.start()
-            samplers.append(sampler)
-            return None
-
-        result = Runner().run(spec, driver=driver)
-        return result, samplers[0]
-
-    def test_digest_unchanged_and_samples_tagged(self):
-        on, sampler_on = self._run(fast_forward=True)
-        off, sampler_off = self._run(fast_forward=False)
-        assert on.digest == off.digest
-        assert on.metrics == off.metrics
-        stats = on.extras["fast_forward"]
-        assert stats["engaged_runs"] >= 1
-        assert stats["replayed"] > 0
-        # A transparent tick never counts as a world change.
-        assert stats["world_changes"] == 0
-        assert len(sampler_on.samples) == len(sampler_off.samples)
-        tagged = [s for s in sampler_on.samples if s.get("fast_forwarded")]
-        assert tagged, "no sample was taken during a replayed stretch"
-        assert all(s["replayed_since_last"] >= 0 for s in tagged)
-        assert not any(
-            s.get("fast_forwarded") for s in sampler_off.samples)
-        summary = sampler_on.summary()
-        assert summary["fast_forwarded_samples"] == len(tagged)
-        assert summary["replayed_in_samples"] <= stats["replayed"]
-        assert "fast_forwarded_samples" not in sampler_off.summary()

@@ -64,33 +64,31 @@ class TestRing:
 class TestAttachment:
     def test_attach_detach_restores_class_method(self, sim):
         trace = sim.trace
-        assert "note" not in trace.__dict__
         recorder = FlightRecorder(sim, limit=4)
         recorder.attach(trace)
-        assert "note" in trace.__dict__
+        assert "note" not in trace.__dict__     # a subscriber, not a rebind
+        assert len(trace.subscribers) == 1
         recorder.detach()
         assert "note" not in trace.__dict__
+        assert trace.subscribers == []
 
-    def test_attach_composes_with_an_existing_instance_wrap(self, sim):
-        # Another observer (invariants, spans) may already have rebound
-        # note on the instance; detach must restore *that*, not the
-        # class method.
+    def test_attach_composes_with_an_earlier_subscriber(self, sim):
+        # Another observer (invariants, spans) may already be
+        # subscribed; detach must leave *that* one in place.
         trace = sim.trace
         seen = []
-        original = trace.note
 
-        def outer(time, node, action, packet, detail=""):
-            seen.append(action)
-            original(time, node, action, packet, detail)
+        def earlier(entry, packet):
+            seen.append(entry.action)
 
-        trace.note = outer
+        trace.subscribe(earlier)
         recorder = FlightRecorder(sim, limit=4)
         recorder.attach(trace)
         trace.note(1.0, "n", "send", _FakePacket(1))
         assert seen == ["send"]
         assert recorder.recorded == 1
         recorder.detach()
-        assert trace.__dict__["note"] is outer
+        assert trace.subscribers == [earlier]
 
     def test_double_attach_and_double_enable_raise(self, sim):
         recorder = sim.enable_flight_recorder(limit=4)
@@ -166,12 +164,10 @@ class TestRunnerIntegration:
         assert info["recorded"] > 0
         assert not path.exists()
 
-    def test_fast_forwarder_stands_aside_when_armed(self, tmp_path):
+    def test_recorder_counts_the_live_stream(self, tmp_path):
         runner = Runner(flightrec_path=str(tmp_path / "fr.json"))
         result = runner.run(canonical_traffic_spec(datagrams=20))
-        assert result.extras["fast_forward"]["engaged_runs"] == 0
-        # The ring saw the live stream (replay would bypass note());
-        # build-phase registration entries predate the attach, so the
+        # Build-phase registration entries predate the attach, so the
         # count is bounded by, not equal to, the trace total.
         recorder = runner.scenario.sim.flightrec
         assert 0 < recorder.recorded <= result.trace_entries

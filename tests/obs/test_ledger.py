@@ -39,7 +39,7 @@ class TestRecordBuilders:
             "build", "arm", "drive", "collect", "total"}
         assert record["spec_sha256"] == spec_content_digest(small_result.spec)
         assert record["deliverability"]["delivered"] > 0
-        assert record["fast_forward"] is not None
+        assert "fast_forward" not in record
         assert record["flightrec"] is None  # recorder was not armed
 
     def test_cache_provenance_and_timestamp_override(self, small_result):
@@ -236,7 +236,7 @@ class TestSummarizeAndRender:
         assert text.startswith("# Run-ledger report")
         assert "## Phase-time breakdown" in text
         assert "## Slowest cells" in text
-        assert "## Fast-forward / cache efficacy" in text
+        assert "## Cache efficacy" in text
         assert "## Violation index" in text
         assert "`ttl-decreases`" in text
         # Markdown survives a JSON round trip (report --json contract).

@@ -121,8 +121,10 @@ class TestSpanRecorder:
         sim = Simulator(seed=1)
         original = sim.trace.note
         obs = sim.enable_observability(engine_cadence=None)
-        assert sim.trace.note != original
+        assert sim.trace.subscribers == [obs.spans.on_event]
+        assert sim.trace.note == original      # subscribing rebinds nothing
         obs.disable()
+        assert sim.trace.subscribers == []
         assert sim.trace.note == original
         assert "note" not in sim.trace.__dict__
 
@@ -136,6 +138,7 @@ class TestSpanRecorder:
         recorder.attach(trace)
         recorder.detach()
         assert trace.note == disabled
+        assert trace.subscribers == []
 
 
 class TestGoldenTraceUnperturbed:

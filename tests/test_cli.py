@@ -607,6 +607,38 @@ class TestReportSubcommand:
         assert "## optimized" in out
         assert "x |" in out  # speedup column
 
+    def test_report_renders_bench_with_replay_deltas(self, capsys):
+        # BENCH_PR10.json carries the retired ``fast_forward_deltas``
+        # section; both renderers must still take the file.
+        import json
+        import pathlib
+
+        from repro.bench import render_report
+
+        bench = (pathlib.Path(__file__).resolve().parents[1]
+                 / "BENCH_PR10.json")
+        data = json.loads(bench.read_text())
+        assert "fast_forward_deltas" in data.get("optimized", data)
+        assert main(["report", str(bench)]) == 0
+        assert capsys.readouterr().out.startswith("# Bench trajectory report")
+        assert render_report(data).startswith("workload")
+
+    def test_report_strict_accepts_legacy_run_records(self, tmp_path, capsys):
+        # Ledgers written while the replay engine existed carry its
+        # counters in every run record.
+        import json
+
+        path = self._ledger_file(tmp_path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records:
+            if record["kind"] == "run":
+                record["fast_forward"] = {
+                    "enabled": True, "engaged_runs": 1, "replayed": 3,
+                    "captured": 2, "fallbacks": 0, "world_changes": 1}
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["report", str(path), "--strict"]) == 0
+        assert "invalid" not in capsys.readouterr().out
+
     def test_report_missing_file_errors(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope.jsonl")]) == 1
         assert "error" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from repro.netsim.encap import EncapScheme, encapsulate
 from repro.netsim.fragmentation import fragment
 from repro.netsim.packet import IPProto, Packet
 from repro.netsim.router import Router
-from repro.netsim.trace import TraceLog
+from repro.netsim.trace import TraceEntry, TraceLog
 from repro.verify.invariants import INVARIANTS, InvariantMonitor
 
 
@@ -18,6 +18,14 @@ def make_packet(size=100, src="10.9.0.1", dst="10.9.0.2", ttl=64):
         src=IPAddress(src), dst=IPAddress(dst), proto=IPProto.UDP,
         payload="data", payload_size=size, ttl=ttl,
     )
+
+
+def feed(monitor, time, node, action, packet, detail=""):
+    """Hand the monitor one event the way a subscribed TraceLog would."""
+    entry = TraceEntry(time, node, action, repr(packet), packet.trace_id,
+                       str(packet.src), str(packet.dst), packet.wire_size,
+                       detail)
+    monitor.on_event(entry, packet)
 
 
 def run_udp_conversation(scenario, count=5):
@@ -41,17 +49,20 @@ def run_udp_conversation(scenario, count=5):
 
 
 class TestAttachment:
-    def test_attach_wraps_and_detach_restores_note(self):
+    def test_attach_subscribes_and_detach_unsubscribes(self):
         trace = TraceLog()
         monitor = InvariantMonitor()
         monitor.attach(trace)
-        assert "note" in trace.__dict__          # instance-level wrap
+        assert trace.subscribers == [monitor.on_event]
+        assert "note" not in trace.__dict__      # note stays the class method
         trace.note(0.0, "n", "send", make_packet())
-        assert len(trace.entries) == 1           # original still records
+        assert len(trace.entries) == 1           # the log still records
+        assert len(monitor._states) == 1         # and the monitor saw it
         monitor.detach()
-        assert "note" not in trace.__dict__      # class method again
+        assert trace.subscribers == []
         trace.note(1.0, "n", "deliver", make_packet())
         assert len(trace.entries) == 2
+        assert len(monitor._states) == 1
 
     def test_double_attach_refused(self):
         trace = TraceLog()
@@ -97,13 +108,13 @@ class TestLoopInvariant:
     def test_revisiting_a_forwarder_in_one_phase_is_flagged(self):
         monitor = InvariantMonitor()
         packet = make_packet(ttl=64)
-        monitor.on_event(0.0, "host", "send", packet)
+        feed(monitor, 0.0, "host", "send", packet)
         packet.ttl = 63
-        monitor.on_event(0.1, "r1", "forward", packet)
+        feed(monitor, 0.1, "r1", "forward", packet)
         packet.ttl = 62
-        monitor.on_event(0.2, "r2", "forward", packet)
+        feed(monitor, 0.2, "r2", "forward", packet)
         packet.ttl = 61
-        monitor.on_event(0.3, "r1", "forward", packet)   # the loop
+        feed(monitor, 0.3, "r1", "forward", packet)   # the loop
         assert [v.invariant for v in monitor.violations] == ["no-loop"]
         assert monitor.violations[0].node == "r1"
 
@@ -112,12 +123,12 @@ class TestLoopInvariant:
         legitimately sees the same datagram twice (outer, then inner)."""
         monitor = InvariantMonitor()
         packet = make_packet(ttl=64)
-        monitor.on_event(0.0, "host", "send", packet)
+        feed(monitor, 0.0, "host", "send", packet)
         packet.ttl = 63
-        monitor.on_event(0.1, "r1", "forward", packet)
-        monitor.on_event(0.2, "ha", "decapsulate", packet)
+        feed(monitor, 0.1, "r1", "forward", packet)
+        feed(monitor, 0.2, "ha", "decapsulate", packet)
         packet.ttl = 64                                   # inner's own TTL
-        monitor.on_event(0.3, "r1", "forward", packet)    # same router, ok
+        feed(monitor, 0.3, "r1", "forward", packet)    # same router, ok
         assert monitor.ok
 
     def test_retransmission_is_not_a_loop(self):
@@ -125,9 +136,9 @@ class TestLoopInvariant:
         monitor = InvariantMonitor()
         packet = make_packet(ttl=64)
         for _ in range(3):
-            monitor.on_event(0.0, "host", "send", packet)
+            feed(monitor, 0.0, "host", "send", packet)
             packet.ttl = 63
-            monitor.on_event(0.1, "r1", "forward", packet)
+            feed(monitor, 0.1, "r1", "forward", packet)
             packet.ttl = 64
         assert monitor.ok
 
@@ -136,16 +147,16 @@ class TestTtlInvariant:
     def test_non_decreasing_ttl_is_flagged(self):
         monitor = InvariantMonitor()
         packet = make_packet(ttl=64)
-        monitor.on_event(0.0, "host", "send", packet)
-        monitor.on_event(0.1, "r1", "forward", packet)
-        monitor.on_event(0.2, "r2", "forward", packet)   # still 64
+        feed(monitor, 0.0, "host", "send", packet)
+        feed(monitor, 0.1, "r1", "forward", packet)
+        feed(monitor, 0.2, "r2", "forward", packet)   # still 64
         assert [v.invariant for v in monitor.violations] == ["ttl-decreases"]
         assert "64 -> 64" in monitor.violations[0].message
 
     def test_negative_ttl_is_flagged(self):
         monitor = InvariantMonitor()
         packet = make_packet(ttl=-1)
-        monitor.on_event(0.0, "r1", "forward", packet)
+        feed(monitor, 0.0, "r1", "forward", packet)
         assert [v.invariant for v in monitor.violations] == ["ttl-decreases"]
 
     def test_broken_router_caught_end_to_end(self, monkeypatch):
@@ -167,7 +178,7 @@ class TestTunnelDepthInvariant:
         for hop in range(3):
             packet = encapsulate(
                 packet, IPAddress(f"1.1.1.{hop + 1}"), IPAddress("2.2.2.2"))
-        monitor.on_event(0.0, "ha", "encapsulate", packet)
+        feed(monitor, 0.0, "ha", "encapsulate", packet)
         assert [v.invariant for v in monitor.violations] == ["tunnel-depth"]
         assert "depth 3 exceeds bound 2" in monitor.violations[0].message
 
@@ -181,14 +192,14 @@ class TestTunnelDepthInvariant:
             scheme=EncapScheme.MINIMAL)
         doubled = encapsulate(
             outer, IPAddress("3.3.3.3"), IPAddress("2.2.2.2"))
-        monitor.on_event(0.0, "ha", "encapsulate", doubled)
+        feed(monitor, 0.0, "ha", "encapsulate", doubled)
         assert [v.invariant for v in monitor.violations] == ["tunnel-depth"]
 
     def test_normal_single_tunnel_passes(self):
         monitor = InvariantMonitor()
         packet = encapsulate(
             make_packet(), IPAddress("1.1.1.1"), IPAddress("2.2.2.2"))
-        monitor.on_event(0.0, "ha", "encapsulate", packet)
+        feed(monitor, 0.0, "ha", "encapsulate", packet)
         assert monitor.ok
 
 
@@ -197,7 +208,7 @@ class TestFragmentConservation:
         monitor = InvariantMonitor()
         packet = make_packet(3000)
         pieces = fragment(packet, 1500)
-        monitor.on_event(
+        feed(monitor,
             0.0, "r1", "fragment", packet,
             f"into {len(pieces)} pieces (mtu 1500)")
         assert monitor.ok
@@ -206,7 +217,7 @@ class TestFragmentConservation:
     def test_wrong_piece_count_is_flagged(self):
         monitor = InvariantMonitor()
         packet = make_packet(3000)                       # really 3 pieces
-        monitor.on_event(
+        feed(monitor,
             0.0, "r1", "fragment", packet, "into 7 pieces (mtu 1500)")
         assert [v.invariant for v in monitor.violations] == [
             "fragment-conservation"]
@@ -214,7 +225,7 @@ class TestFragmentConservation:
 
     def test_unparseable_detail_is_flagged(self):
         monitor = InvariantMonitor()
-        monitor.on_event(0.0, "r1", "fragment", make_packet(3000), "???")
+        feed(monitor, 0.0, "r1", "fragment", make_packet(3000), "???")
         assert [v.invariant for v in monitor.violations] == [
             "fragment-conservation"]
 
@@ -290,45 +301,45 @@ class TestTermination:
     def test_vanished_datagram_is_flagged(self):
         monitor = InvariantMonitor(grace=2.0)
         packet = make_packet()
-        monitor.on_event(0.0, "host", "send", packet)
-        monitor.on_event(0.1, "r1", "forward", packet)
+        feed(monitor, 0.0, "host", "send", packet)
+        feed(monitor, 0.1, "r1", "forward", packet)
         violations = monitor.finish(now=100.0)
         assert [v.invariant for v in violations] == ["termination"]
 
     def test_delivered_datagram_passes(self):
         monitor = InvariantMonitor()
         packet = make_packet()
-        monitor.on_event(0.0, "host", "send", packet)
-        monitor.on_event(0.2, "dst", "deliver", packet)
+        feed(monitor, 0.0, "host", "send", packet)
+        feed(monitor, 0.2, "dst", "deliver", packet)
         assert monitor.finish(now=100.0) == []
 
     def test_classified_drop_and_traced_loss_pass(self):
         monitor = InvariantMonitor()
         dropped, lost = make_packet(), make_packet()
-        monitor.on_event(0.0, "host", "send", dropped)
-        monitor.on_event(0.1, "r1", "drop", dropped, "no-route")
-        monitor.on_event(0.0, "host", "send", lost)
-        monitor.on_event(0.1, "lan", "lost", lost, "link-loss")
+        feed(monitor, 0.0, "host", "send", dropped)
+        feed(monitor, 0.1, "r1", "drop", dropped, "no-route")
+        feed(monitor, 0.0, "host", "send", lost)
+        feed(monitor, 0.1, "lan", "lost", lost, "link-loss")
         assert monitor.finish(now=100.0) == []
 
     def test_still_in_flight_within_grace_is_excused(self):
         monitor = InvariantMonitor(grace=2.0)
         packet = make_packet()
-        monitor.on_event(99.0, "host", "send", packet)
+        feed(monitor, 99.0, "host", "send", packet)
         assert monitor.finish(now=100.0) == []
 
     def test_broadcast_and_multicast_are_exempt(self):
         monitor = InvariantMonitor()
         bcast = make_packet(dst="255.255.255.255")
         mcast = make_packet(dst="224.0.0.9")
-        monitor.on_event(0.0, "host", "send", bcast)
-        monitor.on_event(0.0, "host", "send", mcast)
+        feed(monitor, 0.0, "host", "send", bcast)
+        feed(monitor, 0.0, "host", "send", mcast)
         assert monitor.finish(now=100.0) == []
 
     def test_finish_is_idempotent(self):
         monitor = InvariantMonitor()
         packet = make_packet()
-        monitor.on_event(0.0, "host", "send", packet)
+        feed(monitor, 0.0, "host", "send", packet)
         first = list(monitor.finish(now=100.0))
         assert monitor.finish(now=100.0) == first
         assert monitor.violation_count == 1
