@@ -2,7 +2,7 @@
 
 The population layer (:mod:`repro.netsim.population`) claims three
 things: a pooled world *builds fast* (flyweight arrays, one timer-wheel
-event), *stays small* (tens of bytes per host), and is *behaviorally
+event), *stays small* (10 bytes per host), and is *behaviorally
 invisible* (a conversation with a promoted host is byte-identical to
 the same conversation in a world where every host was a full node).
 This module is the driver that measures all three on demand — the

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..netsim.addressing import IPAddress
 
@@ -47,35 +47,35 @@ class PoolBlock:
     """A flyweight slab of bindings for contiguous home addresses.
 
     Struct-of-arrays storage for pooled hosts: home address ``base + i``
-    maps to ``care_of[i]`` with ``registered_at[i]``/``lifetime[i]``.
-    The arrays are *shared by reference* with the
-    :class:`~repro.netsim.population.HostPool` that built them, so a
-    timer-wheel refresh updates pool and binding table in one write and
-    a million bindings never allocate a million :class:`Binding`
-    objects (a ``Binding`` is materialized lazily, only on a hit).
+    maps to ``care_of(i)`` with ``registered_at[i]`` and the block's
+    one ``lifetime``.  ``registered_at`` and ``alive`` are *shared by
+    reference* with the :class:`~repro.netsim.population.HostPool`
+    that built them, so a wheel refresh updates pool and binding table
+    in one write and a million bindings never allocate a million
+    :class:`Binding` objects (one is materialized lazily, on a hit).
 
     ``alive[i]`` gates every read: a dead slot (deregistered, expired,
-    pruned) stays dead even though its timestamps keep being touched by
-    the wheel's bulk slice refresh.
+    pruned, flushed) stays dead even though its timestamps keep being
+    touched by the wheel's bulk slice refresh.
     """
 
     __slots__ = (
         "base", "count", "care_of", "registered_at", "lifetime",
-        "alive", "live", "min_lifetime", "expiry_floor",
+        "alive", "live", "expiry_floor",
     )
 
     def __init__(
         self,
         base: int,
         count: int,
-        care_of: "array",
+        care_of: Callable[[int], int],
         registered_at: "array",
-        lifetime: "array",
+        lifetime: float,
         alive: bytearray,
+        now: float,
     ):
-        if not (len(care_of) == len(registered_at) == len(lifetime)
-                == len(alive) == count):
-            raise ValueError("pool block arrays must all have length count")
+        if not len(registered_at) == len(alive) == count:
+            raise ValueError("pool block columns must all have length count")
         self.base = int(base)
         self.count = count
         self.care_of = care_of
@@ -83,15 +83,12 @@ class PoolBlock:
         self.lifetime = lifetime
         self.alive = alive
         self.live = count - alive.count(0)
-        self.min_lifetime = min(lifetime) if count else DEFAULT_LIFETIME
         # A conservative lower bound on the earliest expiry of any live
-        # entry.  Refreshes only push expiries later, so a stale floor
-        # errs small — which is the safe direction for the prune
-        # guard.  The timer wheel
-        # advances it after each full refresh cycle.
-        self.expiry_floor = (
-            min(registered_at) + self.min_lifetime if count else float("inf")
-        )
+        # entry (no entry was registered before ``now``).  Refreshes
+        # only push expiries later, so a stale floor errs small — the
+        # safe direction for the prune guard.  The timer wheel advances
+        # it after each full refresh cycle.
+        self.expiry_floor = now + lifetime if count else float("inf")
 
     def index_of(self, value: int) -> int:
         """Array index of a *live* entry for address ``value``, or -1."""
@@ -101,7 +98,7 @@ class PoolBlock:
         return -1
 
     def expires_at(self, index: int) -> float:
-        return self.registered_at[index] + self.lifetime[index]
+        return self.registered_at[index] + self.lifetime
 
     def kill(self, index: int) -> None:
         if self.alive[index]:
@@ -124,7 +121,7 @@ class PoolBlock:
         for index in range(self.count):
             if not alive[index]:
                 continue
-            expires = registered_at[index] + lifetime[index]
+            expires = registered_at[index] + lifetime
             if now >= expires:
                 alive[index] = 0
                 dead += 1
@@ -135,13 +132,9 @@ class PoolBlock:
         return dead
 
     def state_bytes(self) -> int:
-        """Actual bytes of array state held for this block."""
-        return (
-            self.care_of.itemsize * len(self.care_of)
-            + self.registered_at.itemsize * len(self.registered_at)
-            + self.lifetime.itemsize * len(self.lifetime)
-            + len(self.alive)
-        )
+        """Actual bytes of per-slot state held for this block."""
+        return (self.registered_at.itemsize * len(self.registered_at)
+                + len(self.alive))
 
 
 class BindingTable:
@@ -186,21 +179,21 @@ class BindingTable:
         self,
         home_base: int,
         count: int,
-        care_of: "array",
+        care_of: Callable[[int], int],
         registered_at: "array",
-        lifetime: "array",
-        alive: Optional[bytearray] = None,
+        lifetime: float,
+        now: float,
+        alive: bytearray,
     ) -> PoolBlock:
         """Install ``count`` bindings for home addresses ``home_base +
         i`` as one struct-of-arrays :class:`PoolBlock`.
 
-        The arrays are adopted by reference (the caller — a
+        No entry was registered before ``now``.  The columns are
+        adopted by reference (the caller — a
         :class:`~repro.netsim.population.HostPool` — keeps writing to
         them), so this is O(1) in bindings: no per-host objects, no
         per-host dict entries, no IPAddress interning traffic.
         """
-        if alive is None:
-            alive = bytearray(b"\x01") * count
         for existing in self._blocks:
             if existing.base < home_base + count and home_base < (
                 existing.base + existing.count
@@ -211,7 +204,7 @@ class BindingTable:
                     f"{existing.base + existing.count})"
                 )
         block = PoolBlock(home_base, count, care_of, registered_at,
-                          lifetime, alive)
+                          lifetime, alive, now)
         self._blocks.append(block)
         self.registrations += count
         return block
@@ -237,9 +230,9 @@ class BindingTable:
                      block: PoolBlock, index: int) -> Binding:
         return Binding(
             home_address,
-            IPAddress(block.care_of[index]),
+            IPAddress(block.care_of(index)),
             block.registered_at[index],
-            block.lifetime[index],
+            block.lifetime,
         )
 
     def deregister(self, home_address: IPAddress) -> Optional[Binding]:
@@ -343,10 +336,13 @@ class BindingTable:
         home agent that kept its table only in memory comes back empty,
         and the mobile hosts must re-register to be reachable again
         (see :meth:`repro.mobileip.home_agent.HomeAgent.restart`).
-        Pooled blocks are lost with everything else.  Returns the
-        number of bindings lost.
+        Pooled blocks are lost too, their shared ``alive`` zeroed.
+        Returns the number of bindings lost.
         """
         lost = len(self._bindings) + sum(b.live for b in self._blocks)
+        for block in self._blocks:
+            block.alive[:] = bytes(block.count)
+            block.live = 0
         self._bindings.clear()
         self._blocks.clear()
         return lost

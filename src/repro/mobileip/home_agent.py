@@ -185,13 +185,12 @@ class HomeAgent(Node):
     def register_many(self, pool) -> PoolBlock:
         """Administratively install bindings for a whole host pool.
 
-        ``pool`` is a :class:`~repro.netsim.population.HostPool` (or
-        anything with ``home_base``/``size`` and ``care_of``/
-        ``registered_at``/``lifetime`` arrays).  The arrays are adopted
-        by reference into one :class:`~repro.mobileip.binding.PoolBlock`
-        — a million bindings without a million ``Binding`` objects —
-        and the whole home-address block is captured with a single
-        proxy-ARP range entry instead of per-host proxy state.
+        ``pool`` is a :class:`~repro.netsim.population.HostPool`.  Its
+        ``registered_at`` and ``alive`` columns are adopted by reference
+        into one :class:`~repro.mobileip.binding.PoolBlock` — a million
+        bindings without a million ``Binding`` objects, dying in the
+        pool when they die here — and the whole home-address block is
+        captured with a single proxy-ARP range entry.
 
         Silent by design: no registration packets, no trace entries, no
         gratuitous announces.  Both the pooled and the eagerly
@@ -200,8 +199,8 @@ class HomeAgent(Node):
         argument (the other half is that promotion writes no trace).
         """
         block = self.bindings.register_many(
-            pool.home_base, pool.size, pool.care_of,
-            pool.registered_at, pool.lifetime,
+            pool.home_base, pool.size, pool.care_of, pool.registered_at,
+            pool.lifetime, pool.built_at, pool.alive,
         )
         iface = self._home_iface()
         self.arp.add_proxy_range(iface, pool.home_base, pool.size)

@@ -14,7 +14,7 @@ Two tiers of host:
 * **pooled hosts** — the long tail of hosts that merely *exist* (a home
   address, a care-of address, a registration that must stay fresh) live
   in a :class:`HostPool`: struct-of-arrays storage (`array` module)
-  costing tens of bytes per host, with their home-agent bindings held
+  costing 10 bytes per host, with their home-agent bindings held
   in a shared :class:`~repro.mobileip.binding.PoolBlock` rather than a
   million ``Binding`` objects.
 
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from .addressing import IPAddress, Network
@@ -87,25 +88,22 @@ _POPULATION_MODES = ("pooled", "materialized")
 class HostPool:
     """Struct-of-arrays storage for pooled hosts.
 
-    Parallel arrays, indexed by pool slot ``i``:
-
-    * ``home[i]`` — permanent home address (``home_base + i``; the
-      array is kept anyway so consumers never assume contiguity);
-    * ``care_of[i]`` — current care-of address in the visited domain;
-    * ``registered_at[i]`` / ``lifetime[i]`` — binding freshness,
-      *shared by reference* with the home agent's
-      :class:`~repro.mobileip.binding.PoolBlock` so a wheel refresh
-      updates both in one write;
-    * ``domain_index[i]`` — which visited domain the host sits in;
-    * ``alive[i]`` / ``promoted[i]`` — one byte each of status.
-
-    Total: 30 bytes per host, independent of world size.
+    Only ``registered_at[i]`` and the ``alive[i]``/``promoted[i]``
+    status bytes are stored per slot — 10 bytes per host.  The first
+    two are *shared by reference* with the home agent's
+    :class:`~repro.mobileip.binding.PoolBlock`, so a wheel refresh
+    updates both in one write and a binding that dies there is dead
+    here.  The rest is derived: ``lifetime`` is one float, the home
+    address is ``home_base + i``, and care-of address and domain come
+    from the segment table, since care-of addresses are contiguous per
+    segment and never rewritten per slot (a re-registering promoted
+    host lands in the binding table's dict tier, which shadows it).
     """
 
     __slots__ = (
-        "name", "home_base", "size", "home", "care_of", "registered_at",
-        "lifetime", "domain_index", "alive", "promoted",
-        "domain_names", "segments", "refreshes",
+        "name", "home_base", "size", "lifetime", "built_at",
+        "registered_at", "alive", "promoted",
+        "domain_names", "segments", "_starts", "refreshes",
     )
 
     def __init__(self, name: str, home_base: int, size: int,
@@ -113,34 +111,31 @@ class HostPool:
         self.name = name
         self.home_base = int(home_base)
         self.size = size
-        self.home = array("I", range(self.home_base, self.home_base + size))
-        self.care_of = array("I", bytes(4 * size))
+        self.lifetime = float(lifetime)
+        self.built_at = registered_at
         self.registered_at = array("d", [registered_at]) * size
-        self.lifetime = array("d", [lifetime]) * size
-        self.domain_index = array("H", bytes(2 * size))
         self.alive = bytearray(b"\x01") * size
         self.promoted = bytearray(size)
         self.domain_names: List[str] = []
-        self.segments: List[Dict[str, int]] = []  # {domain, start, stop}
+        # {domain, start, stop, care_base}, in slot order
+        self.segments: List[Dict[str, Any]] = []
+        self._starts: List[int] = []  # bisect key over segments
         self.refreshes = 0
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add_segment(self, domain_name: str, care_base: int,
-                    start: int, count: int) -> None:
-        """Place pool slots ``[start, start + count)`` in a visited
-        domain, with contiguous care-of addresses from ``care_base``."""
+                    count: int) -> None:
+        """Place the next ``count`` pool slots in a visited domain, with
+        contiguous care-of addresses from ``care_base``."""
+        start = self.segments[-1]["stop"] if self.segments else 0
         if start + count > self.size:
             raise ValueError("pool segment exceeds pool size")
-        index = len(self.domain_names)
         self.domain_names.append(domain_name)
-        self.care_of[start:start + count] = array(
-            "I", range(care_base, care_base + count))
-        self.domain_index[start:start + count] = array(
-            "H", [index]) * count
-        self.segments.append(
-            {"domain": domain_name, "start": start, "stop": start + count})
+        self._starts.append(start)
+        self.segments.append({"domain": domain_name, "start": start,
+                              "stop": start + count, "care_base": care_base})
 
     # ------------------------------------------------------------------
     # Wheel service
@@ -175,6 +170,16 @@ class HostPool:
     def host_name(self, index: int) -> str:
         return f"{self.name}-h{index}"
 
+    def home_of(self, index: int) -> int:
+        return self.home_base + index
+
+    def care_of(self, index: int) -> int:
+        segment = self.segments[bisect_right(self._starts, index) - 1]
+        return segment["care_base"] + index - segment["start"]
+
+    def domain_of(self, index: int) -> str:
+        return self.domain_names[bisect_right(self._starts, index) - 1]
+
     def index_of_name(self, name: str) -> Optional[int]:
         prefix = f"{self.name}-h"
         if not name.startswith(prefix):
@@ -190,10 +195,8 @@ class HostPool:
         return index if 0 <= index < self.size else None
 
     def state_bytes(self) -> int:
-        """Bytes of array state held per the whole pool."""
-        arrays = (self.home, self.care_of, self.registered_at,
-                  self.lifetime, self.domain_index)
-        return (sum(a.itemsize * len(a) for a in arrays)
+        """Bytes of per-slot state held for the whole pool."""
+        return (self.registered_at.itemsize * len(self.registered_at)
                 + len(self.alive) + len(self.promoted))
 
 
@@ -221,8 +224,7 @@ class TimerWheel:
         self.pool = pool
         self.block = block
         self.buckets = min(buckets, max(1, pool.size))
-        self.period = REFRESH_FRACTION * pool.lifetime[0] if pool.size else (
-            REFRESH_FRACTION * DEFAULT_POOL_LIFETIME)
+        self.period = REFRESH_FRACTION * pool.lifetime
         self.tick_interval = self.period / self.buckets
         self._stride = math.ceil(pool.size / self.buckets) if pool.size else 0
         self._cursor = 0
@@ -245,9 +247,9 @@ class TimerWheel:
             if self._cycle_start is not None:
                 # Every live entry was re-stamped during the completed
                 # rotation, so nothing can expire before the rotation's
-                # start plus the minimum lifetime.
+                # start plus the lifetime.
                 self.block.expiry_floor = (
-                    self._cycle_start + self.block.min_lifetime)
+                    self._cycle_start + self.block.lifetime)
             self._cycle_start = now
         lo = bucket * self._stride
         hi = min(lo + self._stride, self.pool.size)
@@ -331,16 +333,16 @@ class Population:
             return self.sim.nodes[name]
         from ..mobileip.mobile_host import MobileHost
 
-        domain_name = pool.domain_names[pool.domain_index[index]]
-        home_address = IPAddress(pool.home[index])
-        care_of = IPAddress(pool.care_of[index])
+        domain_name = pool.domain_of(index)
+        home_address = IPAddress(pool.home_of(index))
+        care_of = IPAddress(pool.care_of(index))
         host = MobileHost(
             name,
             self.sim,
             home_address=home_address,
             home_network=self.home_domain.prefix,
             home_agent_address=self.ha_ip,
-            reg_lifetime=pool.lifetime[index],
+            reg_lifetime=pool.lifetime,
             auto_reregister=False,
         )
         self.net.add_host(domain_name, host, address=care_of, claim=False)
@@ -375,9 +377,8 @@ class Population:
     # Introspection
     # ------------------------------------------------------------------
     def state_bytes(self) -> int:
-        """Pool-layer state bytes (the binding block shares the pool's
-        arrays, so only its private ``alive`` bytearray adds)."""
-        return self.pool.state_bytes() + len(self.block.alive)
+        """Pool-layer state bytes (the binding block adds none)."""
+        return self.pool.state_bytes()
 
     def stats(self) -> Dict[str, Any]:
         pool = self.pool
@@ -506,7 +507,7 @@ def install_population(
             pool_size=count,
         )
         assert domain.pool_base is not None
-        pool.add_segment(domain.name, domain.pool_base, start, count)
+        pool.add_segment(domain.name, domain.pool_base, count)
         start += count
 
     block = ha.register_many(pool)

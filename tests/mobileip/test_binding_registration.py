@@ -161,9 +161,11 @@ def _block_table(count=8, base=None, now=0.0, lifetime=100.0):
     table = BindingTable()
     block = table.register_many(
         base, count,
-        care_of=array("I", range(COA.value, COA.value + count)),
+        care_of=lambda index: COA.value + index,
         registered_at=array("d", [now] * count),
-        lifetime=array("d", [lifetime] * count),
+        lifetime=lifetime,
+        now=now,
+        alive=bytearray(b"\x01") * count,
     )
     return table, block
 
@@ -211,9 +213,11 @@ class TestPoolBlocks:
         with pytest.raises(ValueError):
             table.register_many(
                 HOME.value + 4, 8,
-                care_of=array("I", [COA.value] * 8),
+                care_of=lambda index: COA.value,
                 registered_at=array("d", [0.0] * 8),
-                lifetime=array("d", [100.0] * 8),
+                lifetime=100.0,
+                now=0.0,
+                alive=bytearray(b"\x01") * 8,
             )
 
     def test_explicit_register_shadows_and_retires_the_slot(self):
@@ -271,11 +275,14 @@ class TestPoolBlocks:
         assert table.expirations == 3
 
     def test_flush_counts_block_entries(self):
-        table, _ = _block_table(count=5)
+        table, block = _block_table(count=5)
         table.register(IPAddress("10.9.0.1"), COA, now=0.0)
         assert table.flush() == 6
         assert len(table) == 0
         assert table.pool_stats()["blocks"] == 0
+        # The dropped block's alive column is zeroed, not just unlinked:
+        # the pool sharing it must see its hosts unregistered.
+        assert block.live == 0 and not any(block.alive)
 
     def test_peek_reads_without_expiring(self):
         table, block = _block_table(now=0.0, lifetime=100.0)

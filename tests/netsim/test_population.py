@@ -2,8 +2,8 @@
 
 The layer's contract has three legs, each pinned here:
 
-* **small** — struct-of-arrays pool state stays a few tens of bytes
-  per host, far under the 200-byte acceptance bar;
+* **small** — struct-of-arrays pool state is exactly 10 bytes per
+  host, far under the 200-byte acceptance bar;
 * **alive** — one timer-wheel event per pool keeps every registration
   fresh, administratively, without touching the trace;
 * **invisible** — promoting a pooled host to a full node, or building
@@ -32,9 +32,9 @@ class TestHostPool:
     def test_flyweight_state_is_tiny(self):
         scenario = pooled_scenario(hosts=10_000)
         pop = scenario.population
-        per_host = pop.state_bytes() / pop.pool.size
-        assert per_host < 200  # the acceptance bar
-        assert per_host < 40   # what the SoA layout actually costs
+        # registered_at (8) + alive (1) + promoted (1); every address
+        # and the lifetime are derived per pool or per segment.
+        assert pop.state_bytes() == pop.pool.size * 10
 
     def test_pool_hosts_are_not_nodes(self):
         scenario = pooled_scenario(hosts=5000)
@@ -51,10 +51,10 @@ class TestHostPool:
         from repro.netsim import IPAddress
 
         for index in (0, 999, 1000, 2999):
-            home = IPAddress(pop.pool.home[index])
+            home = IPAddress(pop.pool.home_of(index))
             binding = pop.ha.bindings.lookup(home, now=scenario.sim.now)
             assert binding is not None
-            assert binding.care_of_address.value == pop.pool.care_of[index]
+            assert binding.care_of_address.value == pop.pool.care_of(index)
 
     def test_hosts_spread_across_domains(self):
         scenario = pooled_scenario(hosts=3000, domains=3)
@@ -68,7 +68,20 @@ class TestHostPool:
             from repro.netsim import IPAddress
 
             for index in (segment["start"], segment["stop"] - 1):
-                assert domain.prefix.contains(IPAddress(pool.care_of[index]))
+                assert domain.prefix.contains(IPAddress(pool.care_of(index)))
+
+    def test_segment_seams_on_an_uneven_split(self):
+        scenario = pooled_scenario(hosts=1001, domains=3)
+        pool = scenario.population.pool
+        assert [(s["start"], s["stop"]) for s in pool.segments] == [
+            (0, 334), (334, 668), (668, 1001)]
+        for segment in pool.segments:
+            domain = scenario.net.domains[segment["domain"]]
+            start = segment["start"]
+            for index in (start, segment["stop"] - 1):
+                assert pool.care_of(index) == (
+                    domain.pool_base + (index - start))
+                assert pool.domain_of(index) == domain.name
 
     def test_name_and_address_mapping(self):
         pool = pooled_scenario(hosts=100, domains=1).population.pool
@@ -79,7 +92,7 @@ class TestHostPool:
         assert pool.index_of_name("mega-h100") is None
         assert pool.index_of_name("mh") is None
         assert pool.index_of_name("mega-hx") is None
-        assert pool.index_of_address(IPAddress(pool.home[42])) == 42
+        assert pool.index_of_address(IPAddress(pool.home_of(42))) == 42
 
 
 class TestTimerWheel:
@@ -137,11 +150,10 @@ class TestPromotion:
         pop = scenario.population
         host = pop.promote(123)
         assert host.name == "mega-h123"
-        assert host.home_address.value == pop.pool.home[123]
-        assert host.care_of.value == pop.pool.care_of[123]
+        assert host.home_address.value == pop.pool.home_of(123)
+        assert host.care_of.value == pop.pool.care_of(123)
         assert host.registered and not host.at_home
-        assert host.current_domain == pop.pool.domain_names[
-            pop.pool.domain_index[123]]
+        assert host.current_domain == pop.pool.domain_of(123)
         assert host.name in scenario.sim.nodes
 
     def test_promotion_is_idempotent(self):
@@ -156,7 +168,7 @@ class TestPromotion:
 
         pop = pooled_scenario().population
         host = pop.promote_name("mega-h9")
-        assert host is pop.promote_address(IPAddress(pop.pool.home[9]))
+        assert host is pop.promote_address(IPAddress(pop.pool.home_of(9)))
         assert pop.promote_name("not-a-pool-host") is None
 
     def test_promote_out_of_range_raises(self):
@@ -178,7 +190,7 @@ class TestPromotion:
 
         scenario = pooled_scenario()
         pop = scenario.population
-        target = IPAddress(pop.pool.home[77])
+        target = IPAddress(pop.pool.home_of(77))
         assert "mega-h77" not in scenario.sim.nodes
         replies = []
         scenario.ch.ping(target, replies.append)
@@ -197,6 +209,49 @@ class TestPromotion:
         ch_sock.sendto("hello", 50, host.home_address, 7000)
         scenario.sim.run(until=scenario.sim.now + 5.0)
         assert received == ["hello"]
+
+
+class TestBindingDeathReachesThePool:
+    """The pool and its binding block share one ``alive`` column, so a
+    binding that dies at the home agent reads dead in the pool."""
+
+    def _assert_dead(self, scenario, index, live):
+        pop = scenario.population
+        assert pop.block.live == live
+        assert pop.pool.live == live
+        assert pop.stats()["live"] == live
+        assert pop.pool.refresh_slice(0, pop.pool.size, scenario.sim.now) \
+            == live
+        assert pop.promote(index).registered is False
+
+    def test_deregister(self):
+        from repro.netsim import IPAddress
+
+        scenario = pooled_scenario(hosts=100, domains=1)
+        pop = scenario.population
+        home = IPAddress(pop.pool.home_of(5))
+        assert pop.ha.bindings.deregister(home) is not None
+        assert pop.ha.bindings.lookup(home, now=scenario.sim.now) is None
+        self._assert_dead(scenario, 5, live=99)
+
+    def test_expiry(self):
+        from repro.netsim import IPAddress
+
+        scenario = pooled_scenario(hosts=100, domains=1)
+        pop = scenario.population
+        later = scenario.sim.now + pop.pool.lifetime
+        home = IPAddress(pop.pool.home_of(8))
+        assert pop.ha.bindings.lookup(home, now=later) is None
+        self._assert_dead(scenario, 8, live=99)
+        assert pop.ha.bindings.prune(later) == 99
+        assert pop.pool.live == 0
+
+    def test_flush(self):
+        scenario = pooled_scenario(hosts=100, domains=1)
+        pop = scenario.population
+        pop.ha.restart()  # crash semantics: the table comes back empty
+        assert pop.ha.bindings.pool_stats()["blocks"] == 0
+        self._assert_dead(scenario, 3, live=0)
 
 
 class TestDigestNeutrality:
@@ -222,6 +277,13 @@ class TestDigestNeutrality:
         pooled = self._converse(pooled_scenario(hosts=3000))
         materialized = self._converse(
             pooled_scenario(hosts=3000, population={"mode": "materialized"}))
+        assert pooled == materialized
+
+    def test_uneven_split_matches_materialized_world(self):
+        split = {"hosts": 1001, "domains": 3}
+        pooled = self._converse(pooled_scenario(**split))
+        materialized = self._converse(
+            pooled_scenario(**split, population={"mode": "materialized"}))
         assert pooled == materialized
 
     def test_population_does_not_disturb_the_base_world(self):
