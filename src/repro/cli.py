@@ -63,8 +63,9 @@ Installed as ``repro-mobility`` (see pyproject.toml), or run with
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from .analysis.scenarios import MH_HOME_ADDRESS, build_scenario
 from .core.grid import GRID
@@ -98,9 +99,19 @@ def _build_scenario(args: argparse.Namespace, spec: ExperimentSpec):
     each scenario and collect the reports for ``main`` to merge.
     """
     scenario = build_scenario(**spec.scenario_kwargs())
-    if getattr(args, "obs_out", None):
+    if args.obs_out:
         args._obs.append(scenario.sim.enable_observability())
     return scenario
+
+
+def _write_json(path: str, payload: Any, what: str) -> None:
+    """Write a ``--json-out``/``--obs-out`` report: indented, sorted
+    JSON ending in one newline.  A plain write, so ``/dev/stdout``
+    works as a path."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"{what} written to {path}")
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
@@ -260,7 +271,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     runner = Runner()
     result = runner.run(spec)
     obs = runner.scenario.sim.obs
-    if getattr(args, "obs_out", None):
+    if args.obs_out:
         args._obs.append(obs)
 
     report = result.obs
@@ -304,8 +315,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Run a fault-injection scenario and print the recovery report."""
-    import json
-
     from .analysis.chaos import demo_plan, run_chaos
     from .netsim.faults import FaultError, FaultPlan
 
@@ -321,7 +330,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(plan.to_json())
         return 0
     overrides = {}
-    if getattr(args, "obs_out", None):
+    if args.obs_out:
         # observe flows through chaos_spec into the spec, so the
         # Runner arms the full observability layer on the run itself.
         overrides["observe"] = True
@@ -332,20 +341,18 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             duration=args.duration,
             message_interval=args.interval,
             arm_invariants=True,
-            flightrec_path=None if args.no_flightrec else args.flightrec,
+            flightrec_path=args.flightrec,
             **overrides,
         )
     except FaultError as exc:
         # A plan naming a segment/node the stage does not have.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "obs_out", None) and report.obs is not None:
+    if args.obs_out and report.obs is not None:
         args._obs.append(report.obs)
     print(report.render())
     if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        print(f"chaos report written to {args.json_out}")
+        _write_json(args.json_out, report.to_dict(), "chaos report")
     # Nonzero exit when the run ended unhealthy: an invariant violated,
     # or the mobile host never recovered its registration.
     if report.invariant_violations:
@@ -361,8 +368,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_congestion(args: argparse.Namespace) -> int:
     """Run the In-* congestion cells and print the ranking."""
-    import json
-
     from .analysis.congestion import run_congestion
 
     report = run_congestion(
@@ -375,9 +380,7 @@ def _cmd_congestion(args: argparse.Namespace) -> int:
     )
     print(report.render())
     if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        print(f"congestion report written to {args.json_out}")
+        _write_json(args.json_out, report.to_dict(), "congestion report")
     # Nonzero exit when the stage was dishonest: an invariant violated,
     # or the bottleneck never actually overflowed (no contention means
     # the cells measured nothing).
@@ -415,8 +418,6 @@ def _progress_renderer():
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Expand a spec grid and fan the runs out across processes."""
-    import json
-
     from .experiment import (
         CellFailedError,
         ExperimentSpec,
@@ -479,7 +480,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             cache=cache,
             ledger=ledger,
             progress=_progress_renderer() if args.progress else None,
-            flightrec_path=None if args.no_flightrec else args.flightrec,
+            flightrec_path=args.flightrec,
             cell_timeout=args.cell_timeout,
             max_retries=args.max_retries,
             retry_backoff=args.retry_backoff,
@@ -517,11 +518,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for path in result.flightrec_dumps():
         print(f"flight recorder dumped to {path}")
     if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"sweep results written to {args.json_out}")
-    if getattr(args, "obs_out", None):
+        _write_json(args.json_out, result.to_dict(), "sweep results")
+    if args.obs_out:
         from .obs.metrics import MetricsRegistry
 
         # The report-side registry: worker processes are gone, so the
@@ -581,10 +579,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         out=args.out,
         shrink=not args.no_shrink,
         max_tunnel_depth=args.max_tunnel_depth,
-        flightrec_path=None if args.no_flightrec else args.flightrec,
+        flightrec_path=args.flightrec,
     )
     print(report.render())
-    if getattr(args, "obs_out", None):
+    if args.obs_out:
         args._obs.append({
             "command": "fuzz",
             "cases_run": report.cases_run,
@@ -595,8 +593,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 def _cmd_mega(args: argparse.Namespace) -> int:
     """Build a pooled mega world, converse with one host, report."""
-    import json
-
     from .analysis.mega import run_mega
 
     if args.hosts < 1:
@@ -604,7 +600,7 @@ def _cmd_mega(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     runner = None
-    observe = bool(getattr(args, "obs_out", None))
+    observe = bool(args.obs_out)
     try:
         from .experiment import Runner
 
@@ -629,10 +625,7 @@ def _cmd_mega(args: argparse.Namespace) -> int:
         args._obs.append(runner.scenario.sim.obs)
     print(report.render())
     if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"mega report written to {args.json_out}")
+        _write_json(args.json_out, report.to_dict(), "mega report")
     if args.verify and not report.verified:
         print("error: pooled and materialized digests differ — "
               "aggregation changed the wire", file=sys.stderr)
@@ -642,8 +635,6 @@ def _cmd_mega(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     """Render a run ledger or bench trajectory as markdown/JSON."""
-    import json
-
     from .obs.ledger import (
         read_ledger,
         render_ledger_markdown,
@@ -761,6 +752,23 @@ def _render_bench_markdown(summary) -> str:
     return "\n".join(lines)
 
 
+def _add_json_out(parser: argparse.ArgumentParser, text: str) -> None:
+    parser.add_argument("--json-out", metavar="PATH", default=None,
+                        help=text)
+
+
+def _add_flightrec(parser: argparse.ArgumentParser, when: str) -> None:
+    """``--flightrec PATH`` (armed by default) and ``--no-flightrec``,
+    which stores None into ``flightrec``; ``when`` ends the help text."""
+    parser.add_argument("--flightrec", metavar="PATH",
+                        default="flightrec.json",
+                        help="flight-recorder dump path (armed by default; "
+                             f"{when})")
+    parser.add_argument("--no-flightrec", dest="flightrec",
+                        action="store_const", const=None,
+                        help="disarm the flight recorder")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-mobility",
@@ -820,15 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds between conversation messages (default 2)")
     chaos.add_argument("--show-plan", action="store_true",
                        help="print the plan as JSON and exit (no run)")
-    chaos.add_argument("--json-out", metavar="PATH", default=None,
-                       help="also write the chaos report as JSON")
-    chaos.add_argument("--flightrec", metavar="PATH",
-                       default="flightrec.json",
-                       help="flight-recorder dump path (armed by default; "
-                            "dumps on invariant violation or unrecovered "
-                            "registration)")
-    chaos.add_argument("--no-flightrec", action="store_true",
-                       help="disarm the flight recorder")
+    _add_json_out(chaos, "also write the chaos report as JSON")
+    _add_flightrec(chaos, "dumps on invariant violation or unrecovered "
+                          "registration")
     chaos.set_defaults(func=_cmd_chaos)
 
     congestion = sub.add_parser(
@@ -846,8 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
     congestion.add_argument("--queue", type=int, default=8,
                             help="bottleneck transmit-queue frames "
                                  "(default 8)")
-    congestion.add_argument("--json-out", metavar="PATH", default=None,
-                            help="also write the report as JSON")
+    _add_json_out(congestion, "also write the report as JSON")
     congestion.set_defaults(func=_cmd_congestion)
 
     sweep = sub.add_parser(
@@ -863,8 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes (default 1: run inline; "
                             "per-run digests are identical at any --jobs)")
-    sweep.add_argument("--json-out", metavar="PATH", default=None,
-                       help="write the full sweep results as JSON")
+    _add_json_out(sweep, "write the full sweep results as JSON")
     sweep.add_argument("--show-specs", action="store_true",
                        help="print the expanded specs as JSON and exit "
                             "(no run)")
@@ -885,13 +885,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "as it completes (plus sweep-start/sweep-end "
                             "bookends); render with `repro-mobility "
                             "report PATH`")
-    sweep.add_argument("--flightrec", metavar="PATH",
-                       default="flightrec.json",
-                       help="flight-recorder dump path (armed by default; "
-                            "multi-cell sweeps write PATH-NNN.json per "
-                            "violating cell)")
-    sweep.add_argument("--no-flightrec", action="store_true",
-                       help="disarm the flight recorder")
+    _add_flightrec(sweep, "multi-cell sweeps write PATH-NNN.json per "
+                          "violating cell")
     sweep.add_argument("--cell-timeout", type=float, default=None,
                        metavar="SEC",
                        help="wall-clock seconds per cell before its worker "
@@ -938,14 +933,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "(0 makes any tunnel a violation — a "
                            "deterministic failure for exercising the "
                            "shrinker and flight recorder)")
-    fuzz.add_argument("--flightrec", metavar="PATH",
-                      default="flightrec.json",
-                      help="flight-recorder dump path (armed by default; "
-                           "on failure the shrunken case replays once "
-                           "with the recorder on, so the dump matches "
-                           "the repro JSON)")
-    fuzz.add_argument("--no-flightrec", action="store_true",
-                      help="disarm the flight recorder")
+    _add_flightrec(fuzz, "on failure the shrunken case replays once with "
+                         "the recorder on, so the dump matches the repro "
+                         "JSON")
     fuzz.set_defaults(func=_cmd_fuzz)
 
     mega = sub.add_parser(
@@ -974,8 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also run the materialized twin and require "
                            "byte-identical trace digests (keep --hosts "
                            "modest: every host becomes a full node)")
-    mega.add_argument("--json-out", metavar="PATH", default=None,
-                      help="also write the mega report as JSON")
+    _add_json_out(mega, "also write the mega report as JSON")
     mega.set_defaults(func=_cmd_mega)
 
     report = sub.add_parser(
@@ -1029,9 +1018,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # traceback on Ctrl-C: one line, conventional 128+SIGINT exit.
         print("interrupted", file=sys.stderr)
         return 130
-    if getattr(args, "obs_out", None) and args._obs:
-        import json
-
+    if args.obs_out and args._obs:
         reports = []
         for obs in args._obs:
             # Entries are live Observability handles (scenario-building
@@ -1043,9 +1030,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 obs.finish()
                 reports.append(obs.report())
         merged = reports[0] if len(reports) == 1 else {"runs": reports}
-        with open(args.obs_out, "w") as handle:
-            json.dump(merged, handle, indent=2, sort_keys=True)
-        print(f"observability report written to {args.obs_out}")
+        _write_json(args.obs_out, merged, "observability report")
     return status
 
 

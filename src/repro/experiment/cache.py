@@ -13,13 +13,14 @@ Layout on disk (default ``~/.cache/repro-mobility/``, honouring
 ``--cache-dir``)::
 
     <root>/<key[:2]>/<key>.json   one result per entry, fanned out
-    <root>/index.jsonl            append-only log of stores
 
+Entries are written with :func:`~repro.obs.ledger.replace_file`
+(write-then-rename), so a killed writer never leaves a torn entry.
 Every entry embeds the salt; an entry whose salt does not match the
-running code (or that fails to parse) is counted as an *invalidation*,
-deleted, and treated as a miss — so bumping :data:`CACHE_SALT` when
-run-visible behaviour changes retires the entire cache lazily, with no
-migration step.
+running code (or that is not a JSON object) is counted as an
+*invalidation*, deleted, and treated as a miss — so bumping
+:data:`CACHE_SALT` when run-visible behaviour changes retires the
+entire cache lazily, with no migration step.
 
 The cache must be **bypassed** whenever the bytes under measurement are
 the point: benchmark timings, determinism checks comparing serial vs
@@ -38,6 +39,7 @@ import json
 import os
 from typing import Any, Dict, Optional
 
+from ..obs.ledger import replace_file
 from .runner import RunResult
 from .spec import ExperimentSpec
 
@@ -91,18 +93,15 @@ class ResultCache:
     def _entry_path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], f"{key}.json")
 
-    @property
-    def index_path(self) -> str:
-        return os.path.join(self.root, "index.jsonl")
-
     # ------------------------------------------------------------------
     # Lookup / store
     # ------------------------------------------------------------------
     def lookup(self, spec: ExperimentSpec) -> Optional[RunResult]:
         """Return the cached result for ``spec``, or ``None`` on miss.
 
-        A present-but-unusable entry (salt mismatch, corrupt JSON) is
-        deleted, counted as an invalidation, and reported as a miss.
+        A present-but-unusable entry (salt mismatch, corrupt JSON, JSON
+        that is not an object) is deleted, counted as an invalidation,
+        and reported as a miss.
         """
         key = self.key_for(spec)
         path = self._entry_path(key)
@@ -114,8 +113,9 @@ class ResultCache:
             return None
         try:
             payload = json.loads(raw)
-            if payload.get("salt") != CACHE_SALT:
-                raise ValueError("salt mismatch")
+            if not isinstance(payload, dict) \
+                    or payload.get("salt") != CACHE_SALT:
+                raise ValueError("not an entry of this cache version")
             result = RunResult.from_dict(payload["result"])
         except (ValueError, KeyError, TypeError):
             self.invalidations += 1
@@ -130,7 +130,7 @@ class ResultCache:
         return result
 
     def store(self, spec: ExperimentSpec, result: RunResult) -> None:
-        """Persist ``result`` under ``spec``'s digest and log it.
+        """Persist ``result`` under ``spec``'s digest.
 
         Failed (quarantined) results are never cached: a failure is an
         environmental accident, not a pure function of the spec, and a
@@ -139,65 +139,15 @@ class ResultCache:
         if result.failure is not None:
             return
         key = self.key_for(spec)
-        path = self._entry_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         payload = {
             "salt": CACHE_SALT,
             "key": key,
             "result": result.to_dict(),
         }
         encoded = json.dumps(payload, sort_keys=True).encode()
-        # Write-then-rename so a crashed writer never leaves a torn
-        # entry that a later lookup would count as an invalidation.
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as handle:
-            handle.write(encoded)
-        os.replace(tmp, path)
+        replace_file(self._entry_path(key), encoded)
         self.stores += 1
         self.bytes_written += len(encoded)
-        index_line = json.dumps(
-            {
-                "key": key,
-                "label": result.label,
-                "seed": result.seed,
-                "digest": result.digest,
-                "bytes": len(encoded),
-            },
-            sort_keys=True,
-        )
-        # Single O_APPEND write of one complete line (the ledger's
-        # durability discipline): concurrent sweeps sharing a cache dir
-        # interleave whole lines, never torn ones, and a killed writer
-        # leaves at most one torn trailing line for read_index to skip.
-        fd = os.open(
-            self.index_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, (index_line + "\n").encode())
-        finally:
-            os.close(fd)
-
-    def read_index(self) -> tuple:
-        """All parseable index entries, plus the torn/invalid line count.
-
-        Append-only JSONL written under concurrency: skip (and count)
-        anything that does not parse rather than failing.
-        """
-        entries = []
-        torn = 0
-        try:
-            handle = open(self.index_path)
-        except OSError:
-            return [], 0
-        with handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entries.append(json.loads(line))
-                except json.JSONDecodeError:
-                    torn += 1
-        return entries, torn
 
     # ------------------------------------------------------------------
     # Accounting

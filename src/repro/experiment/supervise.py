@@ -32,13 +32,14 @@ so SIGKILLing one can never corrupt a lock another worker needs — the
 shared-``Queue`` hazard that makes pools unkillable.
 
 :class:`SweepCheckpoint` journals completed cells as JSONL keyed by
-the **unsalted** spec content digest (one ``os.write`` of one complete
-line on an ``O_APPEND`` descriptor, the ledger's durability
-discipline), so ``repro-mobility sweep --resume PATH`` can skip
-already-completed cells after a crash or SIGKILL.  Unsalted is a
-deliberate trade: a checkpoint survives code changes, so resume across
-versions replays old bytes — the salted result cache is the layer that
-invalidates on code change, and the two compose.
+the **unsalted** spec content digest, through the ledger's durable
+writer and reader (:class:`~repro.obs.ledger.JsonlAppender`,
+:func:`~repro.obs.ledger.read_jsonl`), so ``repro-mobility sweep
+--resume PATH`` can skip already-completed cells after a crash or
+SIGKILL.  Unsalted is a deliberate trade: a checkpoint survives code
+changes, so resume across versions replays old bytes — the salted
+result cache is the layer that invalidates on code change, and the
+two compose.
 
 Fault injection for tests and drills rides the :data:`FAULT_ENV`
 environment variable: ``kind:label[:times]`` directives (separated by
@@ -51,7 +52,6 @@ itself), ``hang`` (sleep until the timeout reaps it), or ``fail``
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import signal
@@ -61,6 +61,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Any, Dict, Iterator, List, Optional, Sequence
+
+from ..obs.ledger import JsonlAppender, read_jsonl
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -168,52 +170,22 @@ def describe_exception(exc: BaseException) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Sweep checkpoint: crash-safe journal of completed cells
 # ----------------------------------------------------------------------
-class SweepCheckpoint:
+class SweepCheckpoint(JsonlAppender):
     """Append-only JSONL journal of completed cells, keyed by the
     unsalted spec content digest.
 
-    Append discipline matches :class:`~repro.obs.ledger.RunLedger`: one
-    ``os.write`` of one complete line on an ``O_APPEND`` descriptor, so
-    a SIGKILLed sweep tears at most the trailing line and
-    :meth:`load` recovers every completed cell before it.
+    A :class:`~repro.obs.ledger.JsonlAppender`, so a SIGKILLed sweep
+    tears at most the trailing line and :meth:`load` recovers every
+    completed cell before it.
     """
-
-    def __init__(self, path: str):
-        self.path = str(path)
-        self.appended = 0
-        self._fd: Optional[int] = None
-
-    def _ensure_open(self) -> int:
-        if self._fd is None:
-            directory = os.path.dirname(self.path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            self._fd = os.open(
-                self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        return self._fd
 
     def record(self, spec_sha256: str, result: Dict[str, Any]) -> None:
         """Journal one completed cell (its full result payload)."""
-        line = json.dumps(
-            {
-                "schema": CHECKPOINT_SCHEMA,
-                "spec_sha256": spec_sha256,
-                "result": result,
-            },
-            sort_keys=True, separators=(",", ":"))
-        os.write(self._ensure_open(), (line + "\n").encode())
-        self.appended += 1
-
-    def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-
-    def __enter__(self) -> "SweepCheckpoint":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        self.append({
+            "schema": CHECKPOINT_SCHEMA,
+            "spec_sha256": spec_sha256,
+            "result": result,
+        })
 
     @staticmethod
     def load(path: str) -> Any:
@@ -221,31 +193,18 @@ class SweepCheckpoint:
 
         A missing file is an empty checkpoint (a sweep that never got
         far enough to journal), torn/foreign lines are skipped and
-        counted — same reader posture as the ledger.
+        counted — the ledger's reader, :func:`~repro.obs.ledger.read_jsonl`.
         """
         completed: Dict[str, Dict[str, Any]] = {}
-        torn = 0
-        try:
-            handle = open(path)
-        except OSError:
-            return {}, 0
-        with handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    torn += 1
-                    continue
-                if (not isinstance(record, dict)
-                        or record.get("schema") != CHECKPOINT_SCHEMA
-                        or not isinstance(record.get("spec_sha256"), str)
-                        or not isinstance(record.get("result"), dict)):
-                    torn += 1
-                    continue
-                completed[record["spec_sha256"]] = record["result"]
+        records, torn = read_jsonl(path)
+        for record in records:
+            if (not isinstance(record, dict)
+                    or record.get("schema") != CHECKPOINT_SCHEMA
+                    or not isinstance(record.get("spec_sha256"), str)
+                    or not isinstance(record.get("result"), dict)):
+                torn += 1
+                continue
+            completed[record["spec_sha256"]] = record["result"]
         return completed, torn
 
 

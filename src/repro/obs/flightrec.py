@@ -23,9 +23,10 @@ snapshot of its own.
 from __future__ import annotations
 
 import json
-import os
 from collections import deque
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
+
+from .ledger import replace_file
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..netsim.simulator import Simulator
@@ -144,14 +145,7 @@ class FlightRecorder:
             "engine": self.engine_state(),
             "violations": list(violations or []),
         }
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        # Write-then-rename: a killed worker never leaves a torn dump.
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        replace_file(path, text.encode())
         self.dumps += 1
         return path

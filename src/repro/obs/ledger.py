@@ -17,6 +17,12 @@ tolerates and counts.  There is no rewrite step and no index to
 corrupt; resuming a killed sweep is the result cache's job, and the
 ledger shows exactly which cells it can resume from.
 
+That discipline lives here once, for every durable JSONL file in the
+package: :class:`JsonlAppender` is the writer (the ledger and the
+sweep checkpoint subclass it), :func:`read_jsonl` the torn-line-tolerant
+reader, and :func:`replace_file` the write-then-rename for whole-file
+artifacts (cache entries, flight-recorder dumps).
+
 Record kinds:
 
 * ``run`` — one Runner invocation (live or served from cache).
@@ -38,7 +44,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "LEDGER_SCHEMA",
+    "JsonlAppender",
     "RunLedger",
+    "read_jsonl",
+    "replace_file",
     "run_record",
     "sweep_start_record",
     "sweep_end_record",
@@ -265,34 +274,37 @@ def validate_record(record: Any) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# The ledger itself
+# Durable files: the one JSONL writer, its reader, write-then-rename
 # ----------------------------------------------------------------------
-class RunLedger:
-    """Append-only JSONL sink with crash-durable single-write appends."""
+class JsonlAppender:
+    """Append-only JSONL file with crash-durable single-write appends.
+
+    The file and its parent directories are created on the first append.
+    """
 
     def __init__(self, path: str):
         self.path = str(path)
         self.appended = 0
         self._fd: Optional[int] = None
 
-    def _ensure_open(self) -> int:
+    def append(self, record: Any) -> None:
+        """Append ``record`` as one compact, key-sorted JSON line."""
+        data = (json.dumps(record, sort_keys=True, separators=(",", ":"))
+                + "\n").encode()
         if self._fd is None:
             directory = os.path.dirname(self.path)
             if directory:
                 os.makedirs(directory, exist_ok=True)
             self._fd = os.open(
                 self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        return self._fd
-
-    def append(self, record: Dict[str, Any]) -> None:
-        """Validate and append one record as one complete line."""
-        errors = validate_record(record)
-        if errors:
-            raise ValueError(f"invalid ledger record: {'; '.join(errors)}")
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         # One os.write of one complete line: the atomic-append unit the
-        # crash-durability test pins.
-        os.write(self._ensure_open(), (line + "\n").encode())
+        # crash-durability test pins.  A short write (disk full, a
+        # file-size limit) has torn the line, and the next append would
+        # glue onto it mid-file, so it raises rather than counting.
+        written = os.write(self._fd, data)
+        if written != len(data):
+            raise OSError(f"short write to {self.path}: "
+                          f"{written} of {len(data)} bytes")
         self.appended += 1
 
     def close(self) -> None:
@@ -300,22 +312,27 @@ class RunLedger:
             os.close(self._fd)
             self._fd = None
 
-    def __enter__(self) -> "RunLedger":
+    def __enter__(self) -> "JsonlAppender":
         return self
 
     def __exit__(self, *_exc) -> None:
         self.close()
 
 
-def read_ledger(path: str) -> Tuple[List[Dict[str, Any]], int]:
-    """All parseable records, plus the count of torn/invalid JSON lines.
+def read_jsonl(path: str) -> Tuple[List[Any], int]:
+    """Every line of ``path`` that parses, plus the count that do not.
 
     A killed writer can leave at most one torn trailing line; readers
     skip (and count) anything that does not parse rather than failing.
+    A missing file reads as empty.
     """
-    records: List[Dict[str, Any]] = []
-    skipped = 0
-    with open(path) as handle:
+    records: List[Any] = []
+    torn = 0
+    try:
+        handle = open(path)
+    except FileNotFoundError:
+        return records, torn
+    with handle:
         for line in handle:
             line = line.strip()
             if not line:
@@ -323,8 +340,40 @@ def read_ledger(path: str) -> Tuple[List[Dict[str, Any]], int]:
             try:
                 records.append(json.loads(line))
             except json.JSONDecodeError:
-                skipped += 1
-    return records, skipped
+                torn += 1
+    return records, torn
+
+
+def replace_file(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file and ``os.replace``,
+    so a killed writer never leaves a torn file behind."""
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+    os.replace(tmp, path)
+
+
+# ----------------------------------------------------------------------
+# The ledger itself
+# ----------------------------------------------------------------------
+class RunLedger(JsonlAppender):
+    """The run ledger: schema-validated records on a :class:`JsonlAppender`."""
+
+    def append(self, record: Dict[str, Any]) -> None:
+        """Validate and append one record as one complete line."""
+        errors = validate_record(record)
+        if errors:
+            raise ValueError(f"invalid ledger record: {'; '.join(errors)}")
+        super().append(record)
+
+
+def read_ledger(path: str) -> Tuple[List[Dict[str, Any]], int]:
+    """All parseable ledger records, plus the torn/invalid line count
+    (:func:`read_jsonl`)."""
+    return read_jsonl(path)
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ digests of an undisturbed serial run.
 import json
 
 import pytest
+from jsonl_contract import JsonlWriterContract
 
 from repro.experiment import (
     CellFailedError,
@@ -93,7 +94,16 @@ class TestDescribeException:
         json.dumps(detail)  # JSON-clean
 
 
-class TestSweepCheckpoint:
+class TestSweepCheckpoint(JsonlWriterContract):
+    writer = SweepCheckpoint
+
+    def append_sample(self, checkpoint, n):
+        checkpoint.record(f"sha-{n}", {"digest": str(n)})
+
+    def read(self, path):
+        completed, torn = SweepCheckpoint.load(str(path))
+        return list(completed.values()), torn
+
     def test_round_trip_last_wins(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         with SweepCheckpoint(str(path)) as checkpoint:
@@ -106,9 +116,6 @@ class TestSweepCheckpoint:
         assert completed == {"sha-a": {"digest": "new"},
                              "sha-b": {"digest": "b"}}
 
-    def test_missing_file_is_empty(self, tmp_path):
-        assert SweepCheckpoint.load(str(tmp_path / "nope.jsonl")) == ({}, 0)
-
     def test_torn_and_foreign_lines_are_skipped(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         with SweepCheckpoint(str(path)) as checkpoint:
@@ -119,12 +126,6 @@ class TestSweepCheckpoint:
         completed, torn = SweepCheckpoint.load(str(path))
         assert completed == {"sha-a": {"digest": "a"}}
         assert torn == 2
-
-    def test_creates_parent_directories(self, tmp_path):
-        path = tmp_path / "deep" / "nested" / "ck.jsonl"
-        with SweepCheckpoint(str(path)) as checkpoint:
-            checkpoint.record("sha", {"digest": "d"})
-        assert path.exists()
 
 
 class TestSupervisedFaultTolerance:

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from jsonl_contract import JsonlWriterContract
 
 from repro.experiment import Runner, canonical_traffic_spec
 from repro.obs.ledger import (
@@ -125,7 +126,15 @@ class TestValidation:
         assert validate_record(record) == []
 
 
-class TestRunLedger:
+class TestRunLedger(JsonlWriterContract):
+    writer = RunLedger
+
+    def append_sample(self, ledger, n):
+        ledger.append(sweep_start_record(total=n, jobs=1, cache=False))
+
+    def read(self, path):
+        return read_ledger(str(path))
+
     def test_append_read_round_trip(self, tmp_path, small_result):
         path = tmp_path / "ledger.jsonl"
         with RunLedger(str(path)) as ledger:
@@ -151,35 +160,6 @@ class TestRunLedger:
             with pytest.raises(ValueError, match="invalid ledger record"):
                 ledger.append({"kind": "run"})
         assert not path.exists() or path.read_text() == ""
-
-    def test_appends_accumulate_across_reopens(self, tmp_path, small_result):
-        path = tmp_path / "ledger.jsonl"
-        for _ in range(2):
-            with RunLedger(str(path)) as ledger:
-                ledger.append(run_record(small_result))
-        records, skipped = read_ledger(str(path))
-        assert (len(records), skipped) == (2, 0)
-
-    def test_reader_tolerates_torn_trailing_line(
-        self, tmp_path, small_result
-    ):
-        path = tmp_path / "ledger.jsonl"
-        with RunLedger(str(path)) as ledger:
-            ledger.append(run_record(small_result))
-            ledger.append(run_record(small_result))
-        # A SIGKILLed writer can leave a partial final line.
-        with open(path, "a") as handle:
-            handle.write('{"schema": "repro-mobility-ledger/v1", "kind": "ru')
-        records, skipped = read_ledger(str(path))
-        assert len(records) == 2
-        assert skipped == 1
-        assert all(validate_record(r) == [] for r in records)
-
-    def test_creates_parent_directories(self, tmp_path, small_result):
-        path = tmp_path / "deep" / "nested" / "ledger.jsonl"
-        with RunLedger(str(path)) as ledger:
-            ledger.append(run_record(small_result))
-        assert path.exists()
 
 
 class TestSummarizeAndRender:

@@ -165,6 +165,7 @@ class TestObsSubcommand:
                      "--datagrams", "5", "--duration", "1"]) == 0
         assert f"observability report written to {path}" in \
             capsys.readouterr().out
+        assert path.read_text().endswith("}\n")
         with open(path) as handle:
             report = json.load(handle)
         assert report["spans"]["count"] >= 5
@@ -219,6 +220,7 @@ class TestChaosSubcommand:
                      "--duration", "20", "--json-out", str(report_path)]) == 0
         out = capsys.readouterr().out
         assert "chaos run: seed=9" in out
+        assert report_path.read_text().endswith("}\n")
         with open(report_path) as handle:
             report = json.load(handle)
         assert report["seed"] == 9
@@ -240,6 +242,31 @@ class TestChaosSubcommand:
         )
         assert main(["chaos", "--fault-script", str(script)]) == 1
         assert "no segment named" in capsys.readouterr().err
+
+
+class TestCongestionSubcommand:
+    def test_congestion_json_out(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "congestion.json"
+        assert main(["congestion", "--datagrams", "60",
+                     "--json-out", str(path)]) == 0
+        assert f"congestion report written to {path}" in \
+            capsys.readouterr().out
+        assert path.read_text().endswith("}\n")
+        assert json.loads(path.read_text())["cells"]
+
+
+class TestMegaSubcommand:
+    def test_mega_json_out(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "mega.json"
+        assert main(["mega", "--hosts", "2000", "--datagrams", "5",
+                     "--json-out", str(path)]) == 0
+        assert f"mega report written to {path}" in capsys.readouterr().out
+        assert path.read_text().endswith("}\n")
+        assert json.loads(path.read_text())["hosts"] == 2000
 
 
 class TestModuleEntryPoint:
@@ -345,6 +372,7 @@ class TestSweepSubcommand:
         out_file = tmp_path / "results.json"
         assert main(["sweep", "--grid", self._grid_file(tmp_path),
                      "--json-out", str(out_file)]) == 0
+        assert out_file.read_text().endswith("}\n")
         payload = json.loads(out_file.read_text())
         assert payload["runs"] == 2
         assert all(r["digest"] for r in payload["results"])
