@@ -35,9 +35,8 @@ Subcommands:
   ``--strict-cells``), ``--checkpoint``/``--resume`` journal and skip
   completed cells across crashes, and Ctrl-C drains gracefully
   (partial results written, exit 130).
-* ``report``      — render a run ledger (or a committed
-  ``BENCH_PR*.json`` trajectory) as markdown or JSON: phase-time
-  breakdown, slowest cells, cache efficacy, violation index.
+* ``report``      — render a run ledger as markdown or JSON:
+  phase-time breakdown, slowest cells, cache efficacy, violation index.
 * ``mega``        — build a flyweight million-host world (see
   ``repro.netsim.population``), aim the canonical conversation at one
   pooled host, and report build time, bytes/host, and wheel
@@ -634,7 +633,7 @@ def _cmd_mega(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    """Render a run ledger or bench trajectory as markdown/JSON."""
+    """Render a run ledger as markdown/JSON."""
     from .obs.ledger import (
         read_ledger,
         render_ledger_markdown,
@@ -642,47 +641,24 @@ def _cmd_report(args: argparse.Namespace) -> int:
         validate_record,
     )
 
+    # read_ledger reads a missing file as an empty ledger; here it is
+    # an error.
     try:
-        with open(args.path) as handle:
-            text = handle.read()
+        open(args.path).close()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # A bench trajectory is one JSON document; a ledger is JSONL (a
-    # single-record ledger also parses whole, so the schema field is
-    # the discriminator).
-    try:
-        whole = json.loads(text)
-    except json.JSONDecodeError:
-        whole = None
-    is_ledger = whole is None or (
-        isinstance(whole, dict)
-        and str(whole.get("schema", "")).startswith("repro-mobility-ledger")
-    )
-    is_bench = not is_ledger and isinstance(whole, dict) and (
-        "baseline" in whole or ("results" in whole and "meta" in whole))
-    invalid = 0
-    if is_bench:
-        summary = _bench_summary(whole)
-        rendered = _render_bench_markdown(summary)
-    elif is_ledger:
-        records, torn = read_ledger(args.path)
-        valid = []
-        for record in records:
-            if validate_record(record):
-                invalid += 1
-            else:
-                valid.append(record)
-        invalid += torn
-        summary = summarize_ledger(valid)
-        summary["invalid_records"] = invalid
-        rendered = render_ledger_markdown(summary)
-        if invalid:
-            rendered += f"\n\n{invalid} invalid or torn record(s) skipped.\n"
-    else:
-        print(f"error: {args.path}: neither a run ledger nor a bench "
-              "trajectory", file=sys.stderr)
+    records, torn = read_ledger(args.path)
+    valid = [record for record in records if not validate_record(record)]
+    invalid = len(records) - len(valid) + torn
+    if invalid and not valid:
+        print(f"error: {args.path}: not a run ledger", file=sys.stderr)
         return 1
+    summary = summarize_ledger(valid)
+    summary["invalid_records"] = invalid
+    rendered = render_ledger_markdown(summary)
+    if invalid:
+        rendered += f"\n\n{invalid} invalid or torn record(s) skipped.\n"
     output = (json.dumps(summary, indent=2, sort_keys=True) + "\n"
               if args.json else rendered)
     if args.out:
@@ -695,61 +671,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"error: {invalid} invalid ledger record(s)", file=sys.stderr)
         return 1
     return 0
-
-
-def _bench_summary(data):
-    """Normalize a bench file (raw suite or baseline/optimized pair)."""
-    suites = {}
-    if "meta" in data and "results" in data:
-        suites["suite"] = data
-    for name in ("baseline", "optimized"):
-        suite = data.get(name)
-        if isinstance(suite, dict) and "results" in suite:
-            suites[name] = suite
-    return {
-        "kind": "bench",
-        "suites": {
-            name: {
-                "meta": dict(suite.get("meta", {})),
-                "workloads": {
-                    workload: {
-                        "ns_per_op": result.get("ns_per_op"),
-                        "ops_per_sec": result.get("ops_per_sec"),
-                        "units": result.get("units"),
-                        "unit": result.get("unit"),
-                    }
-                    for workload, result in sorted(suite["results"].items())
-                },
-            }
-            for name, suite in suites.items()
-        },
-        "speedup": dict(data.get("speedup") or {}),
-    }
-
-
-def _render_bench_markdown(summary) -> str:
-    lines = ["# Bench trajectory report", ""]
-    speedups = summary.get("speedup", {})
-    for name, suite in summary["suites"].items():
-        meta = suite.get("meta", {})
-        note = (f" (python {meta['python']}, repeat {meta.get('repeat')})"
-                if meta.get("python") else "")
-        with_speedup = bool(speedups) and name == "optimized"
-        lines.append(f"## {name}{note}")
-        lines.append("")
-        lines.append("| workload | ns/op | ops/sec |"
-                     + (" speedup |" if with_speedup else ""))
-        lines.append("|---|---:|---:|" + ("---:|" if with_speedup else ""))
-        for workload, result in suite["workloads"].items():
-            row = (f"| {workload} | {result['ns_per_op']:,.0f} "
-                   f"| {result['ops_per_sec']:,.0f} |")
-            if with_speedup and workload in speedups:
-                row += f" {speedups[workload]:.2f}x |"
-            elif with_speedup:
-                row += " - |"
-            lines.append(row)
-        lines.append("")
-    return "\n".join(lines)
 
 
 def _add_json_out(parser: argparse.ArgumentParser, text: str) -> None:
@@ -969,10 +890,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report",
-        help="render a run ledger or bench trajectory as markdown/JSON")
+        help="render a run ledger as markdown/JSON")
     report.add_argument("path",
                         help="ledger JSONL (from sweep --ledger or a "
-                             "Runner ledger) or a BENCH_PR*.json file")
+                             "Runner ledger)")
     report.add_argument("--json", action="store_true",
                         help="emit the summary as JSON instead of markdown")
     report.add_argument("--out", metavar="PATH", default=None,

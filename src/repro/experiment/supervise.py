@@ -80,6 +80,9 @@ FAULT_ENV = "REPRO_SWEEP_FAULT"
 CHECKPOINT_SCHEMA = "repro-mobility-checkpoint/v1"
 _FAULT_KINDS = ("crash", "hang", "fail")
 _HANG_SECONDS = 3600.0
+#: Longest the supervision loop waits on worker pipes before it
+#: re-checks timeouts, retry backoffs and a requested drain.
+_TICK = 0.05
 
 
 class InjectedFault(RuntimeError):
@@ -327,24 +330,20 @@ class WorkerSupervisor:
     def __init__(
         self,
         jobs: int,
-        mp_context: str = "spawn",
         cell_timeout: Optional[float] = None,
         max_retries: int = 2,
         retry_backoff: float = 0.5,
         grace: float = 5.0,
-        tick: float = 0.05,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.jobs = jobs
-        self.mp_context = mp_context
         self.cell_timeout = cell_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.grace = grace
-        self.tick = tick
         # Accounting, readable after run() finishes.
         self.retries = 0
         self.respawns = 0
@@ -529,7 +528,7 @@ class WorkerSupervisor:
     def run(
         self, payloads: Sequence[Dict[str, Any]]
     ) -> Iterator[Dict[str, Any]]:
-        self._ctx = multiprocessing.get_context(self.mp_context)
+        self._ctx = multiprocessing.get_context("spawn")
         self._ready = deque(
             _Task(
                 index=payload["index"],
@@ -584,9 +583,9 @@ class WorkerSupervisor:
                 waitables = [w.results for w in self._workers.values()]
                 waitables += [w.proc.sentinel for w in self._workers.values()]
                 if waitables:
-                    mp_connection.wait(waitables, timeout=self.tick)
+                    mp_connection.wait(waitables, timeout=_TICK)
                 else:
-                    time.sleep(self.tick)
+                    time.sleep(_TICK)
                 for worker in list(self._workers.values()):
                     self._drain_worker(worker, events)
                 self._sweep_dead(events)

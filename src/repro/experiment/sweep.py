@@ -278,10 +278,7 @@ def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     order; the parent re-slots them into spec order.
     """
     spec = ExperimentSpec.from_dict(payload["spec"])
-    runner = Runner(
-        flightrec_path=payload.get("flightrec_path"),
-        flightrec_limit=payload.get("flightrec_limit"),
-    )
+    runner = Runner(flightrec_path=payload.get("flightrec_path"))
     return {"index": payload["index"], "result": runner.run(spec).to_dict()}
 
 
@@ -372,12 +369,10 @@ class SweepExecutor:
     def __init__(
         self,
         jobs: int = 1,
-        mp_context: str = "spawn",
         cache: Optional[ResultCache] = None,
         ledger: Optional[RunLedger] = None,
         progress: Optional[ProgressCallback] = None,
         flightrec_path: Optional[str] = None,
-        flightrec_limit: Optional[int] = None,
         cell_timeout: Optional[float] = None,
         max_retries: int = 2,
         retry_backoff: float = 0.5,
@@ -391,12 +386,10 @@ class SweepExecutor:
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.jobs = jobs
-        self.mp_context = mp_context
         self.cache = cache
         self.ledger = ledger
         self.progress = progress
         self.flightrec_path = flightrec_path
-        self.flightrec_limit = flightrec_limit
         self.cell_timeout = cell_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
@@ -521,7 +514,6 @@ class SweepExecutor:
                     "index": index,
                     "spec": specs[index].to_dict(),
                     "flightrec_path": self._cell_flightrec_path(index, total),
-                    "flightrec_limit": self.flightrec_limit,
                 }
                 for index in pending
             ]
@@ -559,7 +551,6 @@ class SweepExecutor:
             else:
                 supervisor = WorkerSupervisor(
                     jobs=self.jobs,
-                    mp_context=self.mp_context,
                     cell_timeout=self.cell_timeout,
                     max_retries=0 if self.strict_cells else self.max_retries,
                     retry_backoff=self.retry_backoff,

@@ -21,9 +21,8 @@ is **opt-in**: nothing here runs unless
 :meth:`~repro.netsim.simulator.Simulator.enable_observability` is
 called, and the disabled path is identical to the pre-observability
 simulator (the span recorder is a ``TraceLog.subscribe`` subscriber,
-and an empty subscriber list costs nothing).  The
-``obs_overhead`` workload in :mod:`repro.bench` keeps that promise
-honest.
+and an empty subscriber list costs nothing).  Turning it on never
+moves a trace digest (``tests/experiment/test_runner.py``).
 """
 
 from __future__ import annotations

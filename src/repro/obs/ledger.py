@@ -280,6 +280,8 @@ class JsonlAppender:
     """Append-only JSONL file with crash-durable single-write appends.
 
     The file and its parent directories are created on the first append.
+    A file left ending in a torn line (a writer killed mid-append) gets
+    that line terminated by the first append, so the record is kept.
     """
 
     def __init__(self, path: str):
@@ -296,7 +298,10 @@ class JsonlAppender:
             if directory:
                 os.makedirs(directory, exist_ok=True)
             self._fd = os.open(
-                self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+                self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+            size = os.fstat(self._fd).st_size
+            if size and os.pread(self._fd, 1, size - 1) != b"\n":
+                data = b"\n" + data
         # One os.write of one complete line: the atomic-append unit the
         # crash-durability test pins.  A short write (disk full, a
         # file-size limit) has torn the line, and the next append would

@@ -114,6 +114,14 @@ class TestSweepExecutor:
         # The grid genuinely varies the world: distinct digests exist.
         assert len(set(serial.digests())) > 1
 
+    def test_demo_grid_slice_is_clean_across_workers(self):
+        # Every demo-grid cell arms the invariant monitor, so ``ok``
+        # means these cells ran in workers with no violation.
+        specs = demo_grid(seeds=[1996], datagrams=20).expand()[:4]
+        result = SweepExecutor(jobs=2).run(specs)
+        assert result.runs == 4
+        assert result.ok
+
     def test_violations_surface_in_sweep_result(self):
         bad = canonical_traffic_spec(
             datagrams=5, arm_invariants=True, max_tunnel_depth=0)

@@ -71,6 +71,17 @@ class JsonlWriterContract:
         records, torn = self.read(path)
         assert (len(records), torn) == (2, 1)
 
+    def test_append_after_torn_line_is_kept(self, tmp_path):
+        # A resumed writer must not glue its first record onto the
+        # line a SIGKILLed writer tore.
+        path = tmp_path / "log.jsonl"
+        self._write(path, 1)
+        with open(path, "a") as handle:
+            handle.write('{"torn half of a lin')
+        self._write(path, 1, first=1)
+        records, torn = self.read(path)
+        assert (len(records), torn) == (2, 1)
+
     def test_missing_file_is_empty(self, tmp_path):
         assert self.read(tmp_path / "nope.jsonl") == ([], 0)
 

@@ -623,34 +623,6 @@ class TestReportSubcommand:
         captured = capsys.readouterr()
         assert "invalid ledger record" in captured.err
 
-    def test_report_renders_bench_trajectory(self, capsys):
-        import pathlib
-
-        bench = str(pathlib.Path(__file__).resolve().parents[1]
-                    / "BENCH_PR6.json")
-        assert main(["report", bench]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("# Bench trajectory report")
-        assert "## baseline" in out
-        assert "## optimized" in out
-        assert "x |" in out  # speedup column
-
-    def test_report_renders_bench_with_replay_deltas(self, capsys):
-        # BENCH_PR10.json carries the retired ``fast_forward_deltas``
-        # section; both renderers must still take the file.
-        import json
-        import pathlib
-
-        from repro.bench import render_report
-
-        bench = (pathlib.Path(__file__).resolve().parents[1]
-                 / "BENCH_PR10.json")
-        data = json.loads(bench.read_text())
-        assert "fast_forward_deltas" in data.get("optimized", data)
-        assert main(["report", str(bench)]) == 0
-        assert capsys.readouterr().out.startswith("# Bench trajectory report")
-        assert render_report(data).startswith("workload")
-
     def test_report_strict_accepts_legacy_run_records(self, tmp_path, capsys):
         # Ledgers written while the replay engine existed carry its
         # counters in every run record.
@@ -671,8 +643,15 @@ class TestReportSubcommand:
         assert main(["report", str(tmp_path / "nope.jsonl")]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_report_unrecognized_json_errors(self, tmp_path, capsys):
-        other = tmp_path / "other.json"
-        other.write_text('{"hello": "world"}')
-        assert main(["report", str(other)]) == 1
-        assert "neither a run ledger nor a bench" in capsys.readouterr().err
+    @pytest.mark.parametrize("source", ["foreign-json", "BENCH_PR6.json"])
+    def test_report_unrecognized_json_errors(self, source, tmp_path, capsys):
+        import pathlib
+
+        if source == "foreign-json":
+            path = tmp_path / "other.json"
+            path.write_text('{"hello": "world"}')
+        else:
+            # A committed micro-benchmark trajectory: JSON, not a ledger.
+            path = pathlib.Path(__file__).resolve().parents[1] / source
+        assert main(["report", str(path)]) == 1
+        assert "not a run ledger" in capsys.readouterr().err
