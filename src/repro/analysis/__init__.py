@@ -8,7 +8,7 @@
 """
 
 from .chaos import CHAOS_PORT, ChaosReport, build_chaos_stage, demo_plan, run_chaos
-from .collector import DarkTraceError, ScenarioSnapshot, diff, snapshot
+from .collector import ScenarioSnapshot, diff, snapshot
 from .movement import RandomWaypoint, Tour
 from .metrics import Summary, delivery_ratio, overhead_fraction, path_stretch, summarize
 from .reporting import TextTable, ascii_series, render_kv
@@ -20,7 +20,6 @@ __all__ = [
     "build_chaos_stage",
     "demo_plan",
     "run_chaos",
-    "DarkTraceError",
     "ScenarioSnapshot",
     "diff",
     "snapshot",

@@ -16,23 +16,12 @@ without touching this module.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict
 
 from .scenarios import Scenario
 
-__all__ = ["ScenarioSnapshot", "DarkTraceError", "snapshot", "diff"]
-
-
-class DarkTraceError(RuntimeError):
-    """Raised when snapshotting a run whose tracing is fully disabled.
-
-    With ``TraceLog(aggregates=False)`` the drop and per-link byte
-    counters are never incremented; a snapshot would report zero drops
-    and zero wide-area bytes, and a benchmark script could misread a
-    dark run as a lossless one.
-    """
+__all__ = ["ScenarioSnapshot", "snapshot", "diff"]
 
 
 @dataclass(frozen=True)
@@ -64,26 +53,9 @@ class ScenarioSnapshot:
                 + self.reverse_forwarded_by_ha)
 
 
-def snapshot(scenario: Scenario, strict: bool = True) -> ScenarioSnapshot:
-    """Capture the current counters of a scenario from the registry.
-
-    Raises :class:`DarkTraceError` when tracing is fully disabled
-    (``aggregates=False``) — the drop/byte counters read 0 then, which
-    is not the same as "nothing was dropped".  Pass ``strict=False`` to
-    downgrade the error to a ``RuntimeWarning`` and snapshot anyway.
-    """
+def snapshot(scenario: Scenario) -> ScenarioSnapshot:
+    """Capture the current counters of a scenario from the registry."""
     sim = scenario.sim
-    if not sim.trace.aggregates:
-        message = (
-            "snapshot of a dark run: tracing is fully disabled "
-            "(TraceLog aggregates=False), so drop and per-link byte "
-            "counters read 0 regardless of what actually happened; "
-            "build the scenario with trace_aggregates=True or pass "
-            "strict=False to accept the partial snapshot"
-        )
-        if strict:
-            raise DarkTraceError(message)
-        warnings.warn(message, RuntimeWarning, stacklevel=2)
     metrics = sim.metrics
     bytes_by_link = metrics.read_family("trace.bytes_by_link")
     wide = sum(count for link, count in bytes_by_link.items()

@@ -90,8 +90,6 @@ def build_scenario(
     with_foreign_agent: bool = False,
     mobile_starts_away: bool = True,
     backbone_latency: float = 0.010,
-    trace_entries: bool = True,
-    trace_aggregates: bool = True,
     auth_key: Optional[str] = None,
     queue_capacity: Optional[int] = None,
     queue_capacities: Optional[Dict[str, int]] = None,
@@ -104,10 +102,6 @@ def build_scenario(
     experiments bring their own).  ``ch_in_visited_lan`` puts the
     correspondent on the mobile host's current segment (Row C).
     ``visited_attach`` defaults to the far end of the backbone.
-    ``trace_entries``/``trace_aggregates`` pass through to
-    :class:`repro.netsim.simulator.Simulator`; note that a fully dark
-    run (``trace_aggregates=False``) makes ``analysis.snapshot``
-    raise unless explicitly overridden.
 
     The link knobs shape contention (see
     :class:`repro.netsim.link.Segment`): ``queue_capacity`` puts every
@@ -129,11 +123,7 @@ def build_scenario(
     ``None`` — the default — builds exactly the historical world,
     digest-identical to before the knob existed.
     """
-    sim = Simulator(
-        seed=seed,
-        trace_entries=trace_entries,
-        trace_aggregates=trace_aggregates,
-    )
+    sim = Simulator(seed=seed)
     net = Internet(sim, backbone_size=backbone_size, backbone_latency=backbone_latency)
     if visited_attach is None:
         visited_attach = backbone_size - 1

@@ -218,24 +218,19 @@ class Runner:
         # -- collect --------------------------------------------------
         digest, entries = trace_digest(sim.trace)
         trace = sim.trace
-        deliverability: Dict[str, Any] = {
-            "aggregates": trace.aggregates,
+        counts = trace.action_counts
+        deliverability = {
+            "sent": counts.get("send", 0),
+            "delivered": counts.get("deliver", 0),
+            "dropped": counts.get("drop", 0),
+            "lost": counts.get("lost", 0),
+            "drops_by_reason": dict(trace.drops_by_reason),
+            "losses_by_reason": dict(trace.losses_by_reason),
         }
-        overhead: Dict[str, Any] = {}
-        if trace.aggregates:
-            counts = trace.action_counts
-            deliverability.update({
-                "sent": counts.get("send", 0),
-                "delivered": counts.get("deliver", 0),
-                "dropped": counts.get("drop", 0),
-                "lost": counts.get("lost", 0),
-                "drops_by_reason": dict(trace.drops_by_reason),
-                "losses_by_reason": dict(trace.losses_by_reason),
-            })
-            overhead = {
-                "tunneled_by_ha": scenario.ha.packets_tunneled,
-                "bytes_by_link": dict(trace.bytes_by_link),
-            }
+        overhead = {
+            "tunneled_by_ha": scenario.ha.packets_tunneled,
+            "bytes_by_link": dict(trace.bytes_by_link),
+        }
         invariants: Dict[str, Any] = {"armed": monitor is not None}
         if monitor is not None:
             invariants.update({

@@ -78,7 +78,11 @@ def _is_int(value: Any) -> bool:
 # Fields removed from the spec schema, with the type they used to have.
 # Spec, grid, and fuzz-repro files written before a removal still carry
 # the key; loading accepts a value of the old type and drops it.
-_RETIRED_FIELDS: Dict[str, type] = {"fast_forward": bool}
+_RETIRED_FIELDS: Dict[str, type] = {
+    "fast_forward": bool,
+    "trace_entries": bool,
+    "trace_aggregates": bool,
+}
 
 
 def drop_retired_fields(data: Dict[str, Any], where: str) -> Dict[str, Any]:
@@ -248,8 +252,6 @@ class ExperimentSpec:
     with_dns: bool = False
     with_foreign_agent: bool = False
     mobile_starts_away: bool = True
-    trace_entries: bool = True
-    trace_aggregates: bool = True
     auth_key: Optional[str] = None
     # Link contention (see repro.netsim.link.Segment): a global bounded
     # transmit-queue depth, per-segment depth overrides, and per-segment
@@ -333,8 +335,7 @@ class ExperimentSpec:
         for name in ("ch_in_visited_lan", "home_filtering",
                      "visited_filtering", "ch_filtering", "privacy",
                      "notify_correspondents", "with_dns",
-                     "with_foreign_agent", "mobile_starts_away",
-                     "trace_entries", "trace_aggregates", "absolute",
+                     "with_foreign_agent", "mobile_starts_away", "absolute",
                      "observe", "arm_invariants"):
             value = getattr(self, name)
             _require(isinstance(value, bool),
@@ -438,8 +439,6 @@ class ExperimentSpec:
             "with_foreign_agent": self.with_foreign_agent,
             "mobile_starts_away": self.mobile_starts_away,
             "backbone_latency": self.backbone_latency,
-            "trace_entries": self.trace_entries,
-            "trace_aggregates": self.trace_aggregates,
             "auth_key": self.auth_key,
             "queue_capacity": self.queue_capacity,
             "queue_capacities": self.queue_capacities,

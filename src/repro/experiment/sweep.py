@@ -297,7 +297,7 @@ def failed_result(spec: ExperimentSpec, failure: Dict[str, Any]) -> RunResult:
         sim_time=0.0,
         digest="",
         trace_entries=0,
-        deliverability={"aggregates": False},
+        deliverability={},
         overhead={},
         metrics={},
         invariants={"armed": False},

@@ -29,7 +29,7 @@ from .fragmentation import FragmentationNeeded, Reassembler, fragment
 from .icmp import CareOfAdvisory, EchoData, IcmpMessage, IcmpType, make_icmp_packet
 from .link import ETHERNET_MTU, Frame, Interface, LinkAddress, Segment
 from .node import Node, PhysicalRoute, RouteTarget, VirtualRoute
-from .packet import DEFAULT_TTL, IPV4_HEADER_SIZE, HopRecord, IPProto, Packet
+from .packet import DEFAULT_TTL, IPV4_HEADER_SIZE, IPProto, Packet
 from .router import BoundaryRouter, Router
 from .routing import Route, RoutingError, RoutingTable
 from .simulator import Simulator
@@ -80,7 +80,6 @@ __all__ = [
     "VirtualRoute",
     "DEFAULT_TTL",
     "IPV4_HEADER_SIZE",
-    "HopRecord",
     "IPProto",
     "Packet",
     "BoundaryRouter",

@@ -14,7 +14,7 @@ inside another and notes their byte costs:
 All three are modelled precisely enough that :attr:`Packet.wire_size`
 reports the correct on-the-wire size, which the §3.3 size benchmarks
 rely on.  Decapsulation restores the original inner packet unchanged
-(its trace history is preserved).
+(its trace id included).
 """
 
 from __future__ import annotations
@@ -104,11 +104,11 @@ def encapsulate(
 ) -> Packet:
     """Wrap ``inner`` in an outer packet addressed ``outer_src -> outer_dst``.
 
-    The returned outer packet shares the inner packet's ``trace_id`` and
-    hop list so analysis can follow the logical datagram through the
-    tunnel.  Minimal encapsulation refuses to nest (the real mechanism
-    cannot carry an already-encapsulated packet, since it has no inner
-    IP header to compress).
+    The returned outer packet shares the inner packet's ``trace_id`` so
+    the trace log can follow the logical datagram through the tunnel.
+    Minimal encapsulation refuses to nest (the real mechanism cannot
+    carry an already-encapsulated packet, since it has no inner IP
+    header to compress).
     """
     if inner.more_fragments or inner.frag_offset:
         raise EncapError("cannot encapsulate an IP fragment")
@@ -132,7 +132,6 @@ def encapsulate(
             payload_size=inner.inner_size + shim,
             ttl=ttl,
             trace_id=inner.trace_id,
-            hops=inner.hops,
         )
         return outer
 
@@ -145,7 +144,6 @@ def encapsulate(
         shim_size=shim,
         ttl=ttl,
         trace_id=inner.trace_id,
-        hops=inner.hops,
     )
     return outer
 

@@ -2,9 +2,8 @@
 
 Packets are the central currency of the simulator.  A packet carries an
 IP header (source, destination, protocol, TTL, identification,
-fragmentation fields), a payload, and bookkeeping used by the analysis
-layer (a unique trace id and hop records appended by
-:mod:`repro.netsim.trace`).
+fragmentation fields), a payload, and a trace id that lets the analysis
+layer follow one logical datagram through :mod:`repro.netsim.trace`.
 
 Encapsulation — the heart of the paper — is modelled by letting the
 payload of a packet be *another packet*.  ``Packet.wire_size`` then
@@ -17,16 +16,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from .addressing import IPAddress
 
 __all__ = [
     "IPProto",
     "IPV4_HEADER_SIZE",
-    "HopRecord",
     "Packet",
     "DEFAULT_TTL",
+    "format_packet",
 ]
 
 IPV4_HEADER_SIZE = 20
@@ -47,20 +46,10 @@ class IPProto(IntEnum):
     MINENC = 55     # Minimal Encapsulation (Per95)
 
 
-@dataclass(frozen=True)
-class HopRecord:
-    """One hop in a packet's journey, recorded for analysis.
-
-    ``node`` is the name of the node the packet visited, ``action`` is
-    what happened there (``forward``, ``deliver``, ``drop``,
-    ``encapsulate``, ``decapsulate``, ``fragment``...), and ``detail``
-    is a human-readable explanation (e.g. the filter rule that fired).
-    """
-
-    time: float
-    node: str
-    action: str
-    detail: str = ""
+# One IP header's (src, dst, ttl): the fields forwarding rewrites on a
+# packet already traced — a router's TTL decrement, the sender's
+# source-address fill-in, a loose source route's re-addressing.
+Header = Tuple[IPAddress, IPAddress, int]
 
 
 @dataclass
@@ -107,7 +96,6 @@ class Packet:
     # Analysis bookkeeping.  trace_id survives encapsulation/decapsulation
     # and fragmentation so a logical datagram can be followed end to end.
     trace_id: int = field(default_factory=lambda: next(_trace_ids))
-    hops: List[HopRecord] = field(default_factory=list)
     # Cached inner_size.  The encapsulation stack is effectively
     # immutable after construction; the few sites that do mutate
     # size-relevant fields (fragmentation, reassembly) must call
@@ -208,39 +196,15 @@ class Packet:
             packet = packet.payload
         return depth
 
-    # ------------------------------------------------------------------
-    # Trace helpers
-    # ------------------------------------------------------------------
-    def record(self, time: float, node: str, action: str, detail: str = "") -> None:
-        """Append a hop record (shared with the innermost packet's list)."""
-        # Built via __new__ + __dict__: the frozen dataclass __init__
-        # routes every field through object.__setattr__, and this runs
-        # once per trace event.  Field values match the constructor.
-        hop = HopRecord.__new__(HopRecord)
-        hop.__dict__.update(time=time, node=node, action=action, detail=detail)
-        self.hops.append(hop)
-
-    @property
-    def path(self) -> Tuple[str, ...]:
-        """Names of nodes that forwarded or delivered this packet."""
-        return tuple(
-            hop.node for hop in self.hops if hop.action in ("forward", "deliver")
-        )
-
-    @property
-    def hop_count(self) -> int:
-        return sum(1 for hop in self.hops if hop.action == "forward")
-
-    @property
-    def was_dropped(self) -> bool:
-        return any(hop.action == "drop" for hop in self.hops)
-
-    @property
-    def drop_reason(self) -> Optional[str]:
-        for hop in self.hops:
-            if hop.action == "drop":
-                return hop.detail
-        return None
+    def headers(self) -> List[Header]:
+        """``(src, dst, ttl)`` of this packet and of each packet nested
+        in it, outermost first."""
+        headers = [(self.src, self.dst, self.ttl)]
+        packet = self.payload
+        while isinstance(packet, Packet):
+            headers.append((packet.src, packet.dst, packet.ttl))
+            packet = packet.payload
+        return headers
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -253,7 +217,6 @@ class Packet:
             payload_size=size,
             frag_offset=offset,
             more_fragments=more,
-            hops=list(self.hops),
         )
         # First fragment keeps the payload object so delivery still works
         # after reassembly; continuation fragments carry only bytes.
@@ -263,16 +226,27 @@ class Packet:
         return fragment
 
     def __repr__(self) -> str:
-        payload = self.payload
-        inner = f" [{payload!r}]" if isinstance(payload, Packet) else ""
-        frag = ""
-        if self.frag_offset or self.more_fragments:
-            frag = f" frag(off={self.frag_offset},mf={self.more_fragments})"
-        # ``_name_`` is the enum's stored name — same string as ``.name``
-        # without the DynamicClassAttribute descriptor overhead; ``!s``
-        # reaches the addresses' cached dotted quads without the
-        # ``__format__`` indirection.
-        return (
-            f"Packet({self.src!s}->{self.dst!s} {self.proto._name_}"
-            f" {self.wire_size}B ttl={self.ttl}{frag}{inner})"
-        )
+        return format_packet(self, self.headers())
+
+
+def format_packet(packet: Packet, headers: Sequence[Header]) -> str:
+    """``repr`` text of ``packet`` with each layer's src, dst and TTL
+    taken from ``headers`` (as :meth:`Packet.headers` lists them).
+
+    The flight recorder renders a packet long after its trace event by
+    passing the headers it froze at the event; every other field in
+    the text is fixed once the packet has been traced.
+    """
+    src, dst, ttl = headers[0]
+    payload = packet.payload
+    inner = (f" [{format_packet(payload, headers[1:])}]"
+             if isinstance(payload, Packet) else "")
+    frag = ""
+    if packet.frag_offset or packet.more_fragments:
+        frag = f" frag(off={packet.frag_offset},mf={packet.more_fragments})"
+    # ``_name_`` is the enum's stored name — same string as ``.name``
+    # without the DynamicClassAttribute descriptor overhead.
+    return (
+        f"Packet({src!s}->{dst!s} {packet.proto._name_}"
+        f" {packet.wire_size}B ttl={ttl}{frag}{inner})"
+    )

@@ -30,19 +30,10 @@ __all__ = ["Simulator"]
 class Simulator:
     """Container for one simulation run."""
 
-    def __init__(
-        self,
-        seed: int = 1996,
-        trace_entries: bool = True,
-        trace_aggregates: bool = True,
-    ):
-        """``trace_entries=False`` drops per-event entries but keeps hop
-        records and aggregate counters; additionally passing
-        ``trace_aggregates=False`` turns tracing into a true no-op for
-        maximum-throughput runs (see :class:`TraceLog`)."""
+    def __init__(self, seed: int = 1996):
         self.clock = SimClock()
         self.events = EventQueue(self.clock)
-        self.trace = TraceLog(enabled=trace_entries, aggregates=trace_aggregates)
+        self.trace = TraceLog()
         self.rng = random.Random(seed)
         self.nodes: Dict[str, "Node"] = {}
         self.segments: Dict[str, Segment] = {}

@@ -1,10 +1,9 @@
 """Violation flight recorder: the last N trace events plus engine state.
 
 When a sweep cell, chaos run, or fuzz case ends in an invariant
-violation, the full trace is usually gone (large runs disable entry
-recording) or buried (a 260-second chaos run produces tens of
-thousands of entries).  The :class:`FlightRecorder` keeps a bounded
-ring buffer of the most recent trace events — a
+violation, the full trace is usually buried (a 260-second chaos run
+produces tens of thousands of entries).  The :class:`FlightRecorder`
+keeps a bounded ring buffer of the most recent trace events — a
 :meth:`~repro.netsim.trace.TraceLog.subscribe` subscriber like the span
 recorder and the invariant monitor, so an unarmed run pays nothing at
 all — and, on request, dumps the ring plus a snapshot of live engine
@@ -14,10 +13,13 @@ bindings, segment health) to a ``flightrec.json`` for postmortem.
 Digest neutrality is by construction: a subscriber only *reads* the
 event, so the trace stream, RNG, and event order are untouched.
 
-The ring holds the :class:`~repro.netsim.trace.TraceEntry` the trace
-log built for the event — the same object ``TraceLog.entries`` keeps
-when entries are on — so arming the recorder adds no per-event
-snapshot of its own.
+Per event the ring holds the :class:`~repro.netsim.trace.TraceEntry`
+the trace log built, the packet itself, and the packet's
+:meth:`~repro.netsim.packet.Packet.headers` — the only fields that
+forwarding rewrites after an event (TTLs, a filled-in source, a
+source-routed destination).  The packet text is rendered from those at
+dump time, so an armed run pays no per-event ``repr``; the ring keeps
+at most ``limit`` packets alive.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ import json
 from collections import deque
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from ..netsim.packet import format_packet
 from .ledger import replace_file
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..netsim.packet import Packet
     from ..netsim.simulator import Simulator
     from ..netsim.trace import TraceEntry, TraceLog
 
@@ -67,8 +71,8 @@ class FlightRecorder:
         self._trace.unsubscribe(self._record)
         self._trace = None
 
-    def _record(self, entry: "TraceEntry", packet: Any) -> None:
-        self.ring.append(entry)
+    def _record(self, entry: "TraceEntry", packet: "Packet") -> None:
+        self.ring.append((entry, packet, packet.headers()))
         self.recorded += 1
 
     # ------------------------------------------------------------------
@@ -82,9 +86,9 @@ class FlightRecorder:
                 "action": entry.action, "trace_id": entry.trace_id,
                 "src": entry.src, "dst": entry.dst,
                 "wire_size": entry.wire_size, "detail": entry.detail,
-                "packet": entry.packet_repr,
+                "packet": format_packet(packet, headers),
             }
-            for entry in self.ring
+            for entry, packet, headers in self.ring
         ]
 
     def engine_state(self) -> Dict[str, Any]:

@@ -88,7 +88,7 @@ class SpanRecorder:
     # Attachment
     # ------------------------------------------------------------------
     def attach(self, trace: TraceLog) -> None:
-        """Subscribe to ``trace`` (at any level, even fully disabled)."""
+        """Subscribe to ``trace``'s live event stream."""
         if self._trace is not None:
             raise RuntimeError("span recorder is already attached")
         self._trace = trace

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import (
-    DarkTraceError,
     MH_HOME_ADDRESS,
     build_scenario,
     diff,
@@ -92,42 +91,3 @@ class TestDiff:
         delta = diff(before, snapshot(stage))
         assert any("source-address-filter" in reason or "transit" in reason
                    for reason, count in delta.drops.items() if count > 0)
-
-
-class TestDarkRunGuard:
-    """A fully-dark run must not be snapshotted silently as all-zeros."""
-
-    @pytest.fixture
-    def dark_stage(self):
-        return build_scenario(
-            seed=1101,
-            ch_awareness=Awareness.CONVENTIONAL,
-            trace_entries=False,
-            trace_aggregates=False,
-        )
-
-    def test_strict_snapshot_raises(self, dark_stage):
-        with pytest.raises(DarkTraceError, match="dark run"):
-            snapshot(dark_stage)
-
-    def test_dark_trace_error_is_a_runtime_error(self):
-        assert issubclass(DarkTraceError, RuntimeError)
-
-    def test_non_strict_warns_and_returns(self, dark_stage):
-        with pytest.warns(RuntimeWarning, match="dark run"):
-            snap = snapshot(dark_stage, strict=False)
-        # Registry-backed node counters still work; the trace-backed
-        # aggregates are the zeroed-out part the warning is about.
-        assert snap.packets_sent["mh"] >= 1
-        assert snap.wide_area_bytes == 0
-        assert snap.drops == {}
-
-    def test_entries_off_aggregates_on_is_fine(self):
-        stage = build_scenario(
-            seed=1101,
-            ch_awareness=Awareness.CONVENTIONAL,
-            trace_entries=False,
-        )
-        snap = snapshot(stage)  # no raise, no warning
-        assert stage.sim.trace.entries == []
-        assert snap.wide_area_bytes > 0

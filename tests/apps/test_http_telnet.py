@@ -35,7 +35,7 @@ class TestHTTP:
         stage.sim.run_for(30)
         conn_sends = [
             e for e in stage.sim.trace.entries
-            if e.node == "mh" and e.action == "send" and "TCP" in e.packet_repr
+            if e.node == "mh" and e.action == "send" and e.proto == "TCP"
         ]
         assert conn_sends
         assert all(e.src == str(stage.mh.care_of) for e in conn_sends)

@@ -54,9 +54,11 @@ class TestPop3Workload:
         server.deliver_mail(100)
         client.check_mail(scenario.ch_ip)
         scenario.sim.run_for(60)
+        # IPIP: the mobile host's tunneled TCP.
         conn_sources = {
             e.src for e in scenario.sim.trace.entries
-            if e.node == "mh" and e.action == "send" and "TCP" in e.packet_repr
+            if e.node == "mh" and e.action == "send"
+            and e.proto in ("TCP", "IPIP")
         }
         assert str(MH_HOME_ADDRESS) in conn_sources
 
@@ -74,7 +76,7 @@ class TestPop3Workload:
         assert check.completed
         tcp_sources = {
             e.src for e in scenario.sim.trace.entries
-            if e.node == "mh" and e.action == "send" and "TCP" in e.packet_repr
+            if e.node == "mh" and e.action == "send" and e.proto == "TCP"
         }
         assert tcp_sources == {str(scenario.mh.care_of)}
         assert scenario.mh.tunnel.encapsulated_count == 0

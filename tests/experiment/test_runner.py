@@ -1,6 +1,11 @@
 """Tests for the experiment runner lifecycle."""
 
-from repro.experiment import Runner, RunResult, canonical_traffic_spec
+from repro.experiment import (
+    ExperimentSpec,
+    Runner,
+    RunResult,
+    canonical_traffic_spec,
+)
 
 # The pinned golden digest (tests/netsim/test_golden_trace.py): the
 # runner must reproduce the legacy hand-rolled workload byte-for-byte.
@@ -56,6 +61,30 @@ class TestDigestFidelity:
         assert observed.obs is not None
         assert observed.obs["spans"]["count"] >= 40
         assert bare.obs is None
+
+
+def _trace_off_spec(datagrams):
+    """A spec written while trace levels existed, with both switched off."""
+    return ExperimentSpec.from_dict(dict(
+        canonical_traffic_spec(datagrams=datagrams).to_dict(),
+        trace_entries=False, trace_aggregates=False))
+
+
+class TestRetiredTraceLevels:
+    def test_trace_off_spec_records_and_digests_every_event(self):
+        # The keys are retired, so such a spec traces like any other
+        # and its digest is never the sha256 of nothing.
+        result = Runner().run(_trace_off_spec(20))
+        assert result.digest == (
+            "751d5094488e03683c7e9b27a8e21fb839d655326672c59b78362a5a3f9e9bce")
+        assert result.trace_entries == 378
+        plain = Runner().run(canonical_traffic_spec(datagrams=20))
+        assert (result.digest, result.trace_entries) == (
+            plain.digest, plain.trace_entries)
+        # The canonical world draws nothing from its seed, so a second,
+        # different run is one datagram longer.
+        longer = Runner().run(_trace_off_spec(21))
+        assert longer.digest != result.digest
 
 
 class TestCollection:

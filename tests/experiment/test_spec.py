@@ -80,23 +80,28 @@ class TestJsonRoundTrip:
             {"case": {}, "violations": [], "spec": spec.to_dict()}))
         assert ExperimentSpec.from_file(str(repro)) == spec
 
-    def test_retired_field_loads_and_is_dropped(self, tmp_path):
+    @pytest.mark.parametrize(
+        "field", ["fast_forward", "trace_entries", "trace_aggregates"])
+    def test_retired_field_loads_and_is_dropped(self, tmp_path, field):
         # Spec, grid, and fuzz-repro files written while the flow
-        # replay engine existed carry a boolean ``fast_forward`` key.
+        # replay engine or the trace levels existed carry these
+        # boolean keys.
         legacy = canonical_traffic_spec(datagrams=3).to_dict()
-        legacy["fast_forward"] = True
+        legacy[field] = True
         spec = ExperimentSpec.from_dict(legacy)
         assert spec == canonical_traffic_spec(datagrams=3)
-        assert "fast_forward" not in spec.to_dict()
-        assert "fast_forward" not in json.loads(spec.to_json())
+        assert field not in spec.to_dict()
+        assert field not in json.loads(spec.to_json())
         repro = tmp_path / "repro.json"
         repro.write_text(json.dumps({"case": {}, "spec": legacy}))
         assert ExperimentSpec.from_file(str(repro)) == spec
 
-    def test_retired_field_keeps_its_type_check(self):
+    @pytest.mark.parametrize(
+        "field", ["fast_forward", "trace_entries", "trace_aggregates"])
+    def test_retired_field_keeps_its_type_check(self, field):
         legacy = ExperimentSpec().to_dict()
-        legacy["fast_forward"] = "yes"
-        with pytest.raises(SpecError, match="fast_forward"):
+        legacy[field] = "yes"
+        with pytest.raises(SpecError, match=field):
             ExperimentSpec.from_dict(legacy)
 
     def test_from_file_rejects_bad_json(self, tmp_path):

@@ -65,14 +65,17 @@ class TestSpecGrid:
         with pytest.raises(SpecError, match=match):
             SpecGrid.from_dict(data)
 
-    def test_grid_base_retired_field_is_dropped(self):
-        # Grid files written while the flow replay engine existed.
-        legacy = SpecGrid.from_dict({"base": {"fast_forward": True},
+    @pytest.mark.parametrize(
+        "field", ["fast_forward", "trace_entries", "trace_aggregates"])
+    def test_grid_base_retired_field_is_dropped(self, field):
+        # Grid files written while the flow replay engine or the trace
+        # levels existed.
+        legacy = SpecGrid.from_dict({"base": {field: True},
                                      "axes": {"seed": [1, 2]}})
         assert legacy.to_dict() == {"base": {}, "axes": {"seed": [1, 2]}}
         assert [s.seed for s in legacy.expand()] == [1, 2]
-        with pytest.raises(SpecError, match="fast_forward"):
-            SpecGrid.from_dict({"base": {"fast_forward": 1}})
+        with pytest.raises(SpecError, match=field):
+            SpecGrid.from_dict({"base": {field: 1}})
 
     def test_expansion_validates_each_cell(self):
         grid = SpecGrid(axes={"encap": ["ipip", "smoke-signals"]})

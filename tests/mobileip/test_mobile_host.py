@@ -92,7 +92,7 @@ class TestRegistrationClient:
         sends = [
             entry.time - start for entry in scenario.sim.trace.entries
             if entry.node == "mh" and entry.action == "send"
-            and entry.dst == str(scenario.ha_ip) and "UDP" in entry.packet_repr
+            and entry.dst == str(scenario.ha_ip) and entry.proto == "UDP"
         ]
         assert len(sends) == 5  # original + REGISTRATION_MAX_RETRIES
         gaps = [b - a for a, b in zip(sends, sends[1:])]
@@ -143,7 +143,7 @@ class TestRegistrationClient:
         reg_sends = [
             entry for entry in scenario.sim.trace.entries
             if entry.node == "mh" and entry.action == "send"
-            and entry.dst == str(scenario.ha_ip) and "UDP" in entry.packet_repr
+            and entry.dst == str(scenario.ha_ip) and entry.proto == "UDP"
         ]
         assert reg_sends
         assert all(entry.src == str(scenario.mh.care_of) for entry in reg_sends)

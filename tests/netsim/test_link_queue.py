@@ -31,8 +31,8 @@ class Wire:
     """A two-interface segment with the receiver's frames recorded."""
 
     def __init__(self, seed=42, latency=0.001, bandwidth=8_000,
-                 queue_capacity=None, trace_entries=True):
-        self.sim = Simulator(seed=seed, trace_entries=trace_entries)
+                 queue_capacity=None):
+        self.sim = Simulator(seed=seed)
         self.segment = self.sim.segment(
             "wire", latency=latency, bandwidth=bandwidth,
             queue_capacity=queue_capacity)

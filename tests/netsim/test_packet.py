@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.netsim.addressing import IPAddress
 from repro.netsim.encap import EncapScheme, encapsulate
 from repro.netsim.packet import IPV4_HEADER_SIZE, IPProto, Packet
+from repro.netsim.trace import TraceLog
 
 
 def make_packet(size=100, proto=IPProto.UDP):
@@ -67,28 +68,25 @@ class TestEncapsulationStack:
 
 
 class TestTraceHelpers:
+    """A packet's journey, read back from the trace log by trace id."""
+
     def test_record_and_path(self):
+        log = TraceLog()
         packet = make_packet()
-        packet.record(0.0, "a", "send")
-        packet.record(0.1, "r1", "forward")
-        packet.record(0.2, "b", "deliver")
-        assert packet.path == ("r1", "b")
-        assert packet.hop_count == 1
+        log.note(0.0, "a", "send", packet)
+        log.note(0.1, "r1", "forward", packet)
+        log.note(0.2, "b", "deliver", packet)
+        assert log.path_of(packet.trace_id) == ("r1", "b")
+        assert log.hop_counts()[packet.trace_id] == 1
 
     def test_drop_reason(self):
+        log = TraceLog()
         packet = make_packet()
-        assert not packet.was_dropped
-        packet.record(0.0, "gw", "drop", "source-address-filter")
-        assert packet.was_dropped
-        assert packet.drop_reason == "source-address-filter"
-
-    def test_encapsulated_shares_hop_list(self):
-        inner = make_packet()
-        inner.record(0.0, "mh", "send")
-        outer = encapsulate(inner, IPAddress("1.1.1.1"), IPAddress("2.2.2.2"))
-        outer.record(0.1, "r1", "forward")
-        assert inner.hops == outer.hops
-        assert outer.trace_id == inner.trace_id
+        log.note(0.0, "a", "send", packet)
+        assert not log.dropped(packet.trace_id)
+        log.note(0.1, "gw", "drop", packet, "source-address-filter")
+        assert log.dropped(packet.trace_id)
+        assert log.drop_detail(packet.trace_id) == "source-address-filter"
 
 
 class TestIdentity:

@@ -128,7 +128,7 @@ class TestIcmpFeedbackLoop:
             e for e in entries
             if e.action == "deliver" and e.node == "a1"
             and e.dst == str(ip_a) and e.time > drops[0].time
-            and "ICMP" in e.packet_repr
+            and e.proto == "ICMP"
         ]
         assert len(icmp_deliveries) == 1
         # Act 3: the sender reacted and the resized datagram made it.

@@ -97,7 +97,7 @@ class TestConnectivity:
         sim.run()
         assert len(seen) == 1
         # LAN traffic never touches the boundary router.
-        assert seen[0].hop_count == 0
+        assert sim.trace.path_of(seen[0].trace_id) == ("h2",)
 
     def test_detach_host(self, sim):
         net = Internet(sim)

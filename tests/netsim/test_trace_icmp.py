@@ -28,7 +28,8 @@ class TestTraceLog:
         log.note(1.0, "n1", "send", packet)
         log.note(2.0, "n2", "deliver", packet)
         assert log.delivered(packet.trace_id)
-        assert packet.path == ("n2",)
+        assert log.path_of(packet.trace_id) == ("n2",)
+        assert [e.proto for e in log.entries] == ["UDP", "UDP"]
         assert log.total_deliveries == 1
 
     def test_drop_bookkeeping(self):
@@ -59,13 +60,6 @@ class TestTraceLog:
         log.note(0.3, "b", "deliver", packet)
         assert log.path_of(packet.trace_id) == ("r1", "r2", "b")
         assert log.hop_counts()[packet.trace_id] == 2
-
-    def test_disabled_log_keeps_aggregates(self):
-        log = TraceLog(enabled=False)
-        packet = udp()
-        log.note(0.0, "n", "drop", packet, detail="x")
-        assert log.entries == []
-        assert log.total_drops == 1
 
     def test_link_bytes(self):
         log = TraceLog()
@@ -125,26 +119,3 @@ class TestIcmpConstruction:
         reply = unreachable_for(IPAddress("9.9.9.9"), echo,
                                 UnreachableCode.HOST_UNREACHABLE)
         assert reply is not None
-
-
-class TestTraceExport:
-    def test_export_jsonl_roundtrips(self, tmp_path):
-        import json
-
-        log = TraceLog()
-        packet = udp()
-        log.note(0.5, "a", "send", packet)
-        log.note(1.0, "b", "deliver", packet, detail="ok")
-        out = tmp_path / "trace.jsonl"
-        written = log.export_jsonl(out)
-        assert written == 2
-        lines = [json.loads(line) for line in out.read_text().splitlines()]
-        assert lines[0]["node"] == "a"
-        assert lines[1]["action"] == "deliver"
-        assert lines[1]["detail"] == "ok"
-        assert lines[0]["trace_id"] == lines[1]["trace_id"]
-
-    def test_export_empty_log(self, tmp_path):
-        out = tmp_path / "empty.jsonl"
-        assert TraceLog().export_jsonl(out) == 0
-        assert out.read_text() == ""

@@ -1,4 +1,4 @@
-"""Tests for TraceLog's per-datagram index and JSONL round-tripping."""
+"""Tests for TraceLog's per-datagram queries over interleaved events."""
 
 from repro.netsim.addressing import IPAddress
 from repro.netsim.packet import IPProto, Packet
@@ -49,51 +49,3 @@ class TestEntriesIndex:
         assert log.dropped(packets[1].trace_id)
         assert log.drop_detail(packets[1].trace_id) == "ttl"
         assert log.drop_detail(packets[0].trace_id) is None
-
-    def test_disabled_entries_keep_queries_empty(self):
-        log = TraceLog(enabled=False)
-        packet = _packet()
-        log.note(0.0, "a", "send", packet)
-        log.note(1.0, "b", "deliver", packet)
-        assert log.entries == []
-        assert log.entries_for(packet.trace_id) == []
-        assert log.total_deliveries == 1  # aggregates still counted
-
-
-class TestJsonlRoundTrip:
-    def test_round_trip_rebuilds_everything(self, tmp_path):
-        log, packets = _interleaved_log()
-        path = tmp_path / "trace.jsonl"
-        written = log.export_jsonl(path)
-        assert written == len(log.entries) == 20
-
-        imported = TraceLog.import_jsonl(path)
-        assert imported.entries == log.entries
-        assert imported.action_counts == log.action_counts
-        assert imported.drops_by_reason == log.drops_by_reason
-        for packet in packets:
-            assert (imported.entries_for(packet.trace_id)
-                    == log.entries_for(packet.trace_id))
-            assert imported.delivered(packet.trace_id) == \
-                log.delivered(packet.trace_id)
-        assert imported.summary() == log.summary()
-
-    def test_buffered_export_flushes_all_chunk_sizes(self, tmp_path):
-        log, _ = _interleaved_log(datagrams=7, hops=3)
-        for chunk in (1, 2, 1000):
-            path = tmp_path / f"chunk{chunk}.jsonl"
-            log.export_jsonl(path, chunk_lines=chunk)
-            assert len(path.read_text().splitlines()) == len(log.entries)
-            assert TraceLog.import_jsonl(path).entries == log.entries
-
-    def test_import_skips_blank_lines(self, tmp_path):
-        log, _ = _interleaved_log(datagrams=2, hops=2)
-        path = tmp_path / "trace.jsonl"
-        log.export_jsonl(path)
-        path.write_text(path.read_text() + "\n\n")
-        assert TraceLog.import_jsonl(path).entries == log.entries
-
-    def test_export_empty_log(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        assert TraceLog().export_jsonl(path) == 0
-        assert TraceLog.import_jsonl(path).entries == []

@@ -1,10 +1,14 @@
 """Tests for the violation flight recorder (:mod:`repro.obs.flightrec`)."""
 
 import json
+import pathlib
 
 import pytest
 
-from repro.experiment import Runner, canonical_traffic_spec
+from repro.experiment import Runner, SpecGrid, canonical_traffic_spec
+from repro.netsim.addressing import IPAddress
+from repro.netsim.node import Node
+from repro.netsim.packet import IPProto, Packet
 from repro.obs.flightrec import (
     DEFAULT_FLIGHT_LIMIT,
     FLIGHTREC_SCHEMA,
@@ -18,18 +22,19 @@ GOLDEN_DIGEST = "6c91661118a78681dfe5624d953ae85bb5a3f6e3b7e88fc4d166a9a121cf8a8
 GOLDEN_ENTRIES = 3618
 
 
-class _FakePacket:
-    def __init__(self, trace_id):
-        self.trace_id = trace_id
-        self.src = "10.0.0.1"
-        self.dst = "10.0.0.2"
-        self.wire_size = 120
+EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
-    def record(self, *_args):
-        """TraceLog.note mirrors every event onto the packet itself."""
 
-    def __repr__(self):
-        return f"<fake {self.trace_id}>"
+def _packet(trace_id):
+    return Packet(src=IPAddress("10.0.0.1"), dst=IPAddress("10.0.0.2"),
+                  proto=IPProto.UDP, payload_size=100, trace_id=trace_id)
+
+
+def _eager_reprs(trace):
+    """Subscribe a collector of ``repr(packet)`` taken at each event."""
+    reprs = []
+    trace.subscribe(lambda entry, packet: reprs.append(repr(packet)))
+    return reprs
 
 
 class TestRing:
@@ -37,12 +42,13 @@ class TestRing:
         recorder = FlightRecorder(sim, limit=4)
         recorder.attach(sim.trace)
         for index in range(10):
-            sim.trace.note(float(index), "n", "send", _FakePacket(index))
+            sim.trace.note(float(index), "n", "send", _packet(index))
         assert recorder.recorded == 10
         entries = recorder.entries()
         assert len(entries) == 4
         assert [e["trace_id"] for e in entries] == [6, 7, 8, 9]
-        assert entries[-1]["packet"] == "<fake 9>"
+        assert entries[-1]["packet"] == (
+            "Packet(10.0.0.1->10.0.0.2 UDP 120B ttl=64)")
 
     def test_limit_must_be_positive(self, sim):
         with pytest.raises(ValueError, match="limit"):
@@ -55,10 +61,53 @@ class TestRing:
     def test_trace_stream_is_unmodified(self, sim):
         recorder = FlightRecorder(sim, limit=8)
         recorder.attach(sim.trace)
-        sim.trace.note(1.0, "n", "send", _FakePacket(1), "hi")
+        sim.trace.note(1.0, "n", "send", _packet(1), "hi")
         assert len(sim.trace.entries) == 1
         assert sim.trace.entries[0].detail == "hi"
         assert recorder.entries()[0]["detail"] == "hi"
+
+
+class TestRenderAtDump:
+    """The dump renders each packet from the headers frozen at its
+    event; the text must equal an eager ``repr`` taken then."""
+
+    def test_worked_grid_cell_renders_like_eager_repr(self, tmp_path):
+        grid = SpecGrid.from_file(str(EXAMPLES / "grid_4x4.json"))
+        spec = next(cell for cell in grid.expand()
+                    if cell.awareness == "conventional"
+                    and cell.visited_filtering)
+        collectors = []
+
+        def driver(scenario, _spec):
+            # Runs after the recorder is armed, before the clock starts.
+            collectors.append(_eager_reprs(scenario.sim.trace))
+
+        runner = Runner(flightrec_path=str(tmp_path / "fr.json"),
+                        flightrec_limit=10_000)
+        runner.run(spec, driver=driver)
+        (reprs,) = collectors
+        recorder = runner.scenario.sim.flightrec
+        assert recorder.recorded == len(reprs) == 759
+        assert [e["packet"] for e in recorder.entries()] == reprs
+
+    def test_source_routed_packet_renders_its_destination_then(
+        self, two_domain_net
+    ):
+        # A loose source route re-addresses the packet after its
+        # earlier events (Node._local_deliver).
+        sim, net, a, ip_a, b, ip_b = two_domain_net
+        relay = Node("relay", sim)
+        relay_ip = net.add_host("a", relay)
+        recorder = sim.enable_flight_recorder(limit=10_000)
+        reprs = _eager_reprs(sim.trace)
+        packet = Packet(src=ip_a, dst=relay_ip, proto=IPProto.UDP,
+                        payload="x", payload_size=100, source_route=(ip_b,))
+        a.ip_send(packet)
+        sim.run(until=10)
+        rendered = [e["packet"] for e in recorder.entries()]
+        assert rendered == reprs
+        assert packet.dst == ip_b
+        assert rendered[0] == f"Packet({ip_a}->{relay_ip} UDP 128B ttl=64)"
 
 
 class TestAttachment:
@@ -84,7 +133,7 @@ class TestAttachment:
         trace.subscribe(earlier)
         recorder = FlightRecorder(sim, limit=4)
         recorder.attach(trace)
-        trace.note(1.0, "n", "send", _FakePacket(1))
+        trace.note(1.0, "n", "send", _packet(1))
         assert seen == ["send"]
         assert recorder.recorded == 1
         recorder.detach()
@@ -109,7 +158,7 @@ class TestDump:
         recorder = FlightRecorder(sim, limit=4)
         recorder.attach(sim.trace)
         sim.segment("lan")
-        sim.trace.note(1.0, "n", "send", _FakePacket(3))
+        sim.trace.note(1.0, "n", "send", _packet(3))
         path = tmp_path / "deep" / "flightrec.json"
         returned = recorder.dump(
             str(path), reason="unit-test",

@@ -128,18 +128,6 @@ class TestSpanRecorder:
         assert sim.trace.note == original
         assert "note" not in sim.trace.__dict__
 
-    def test_detach_restores_disabled_note(self):
-        from repro.netsim.trace import TraceLog
-        from repro.obs import SpanRecorder
-
-        trace = TraceLog(enabled=False, aggregates=False)
-        disabled = trace.note
-        recorder = SpanRecorder()
-        recorder.attach(trace)
-        recorder.detach()
-        assert trace.note == disabled
-        assert trace.subscribers == []
-
 
 class TestGoldenTraceUnperturbed:
     def test_spans_do_not_change_the_trace(self):

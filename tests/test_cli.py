@@ -560,6 +560,27 @@ class TestFlightrecAcceptance:
         ring_ids = {e["trace_id"] for e in payload["entries"]}
         assert violating_ids & ring_ids
 
+    def test_violating_spec_dump_bytes_are_pinned(self):
+        # Run in a fresh process: the dump carries process-global trace
+        # ids.  A change that alters the dump on purpose updates this
+        # pin and says why in CHANGES.md.
+        import hashlib
+        import pathlib
+        import subprocess
+        import sys
+
+        spec = str(pathlib.Path(__file__).resolve().parents[1]
+                   / "examples" / "violating_spec.json")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--no-cache",
+             "--spec", spec],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1, result.stderr
+        dump = (pathlib.Path.cwd() / "flightrec.json").read_bytes()
+        assert hashlib.sha256(dump).hexdigest() == (
+            "3da1ceade5752aacac890d67e3be8221d2073192ee28a0330f859547e23430ce")
+
     def test_no_flightrec_suppresses_the_dump(self, tmp_path, capsys):
         import pathlib
 

@@ -22,7 +22,7 @@ def make_packet(size=100, src="10.9.0.1", dst="10.9.0.2", ttl=64):
 
 def feed(monitor, time, node, action, packet, detail=""):
     """Hand the monitor one event the way a subscribed TraceLog would."""
-    entry = TraceEntry(time, node, action, repr(packet), packet.trace_id,
+    entry = TraceEntry(time, node, action, packet.proto.name, packet.trace_id,
                        str(packet.src), str(packet.dst), packet.wire_size,
                        detail)
     monitor.on_event(entry, packet)
