@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, List, Optional
 
@@ -104,12 +105,18 @@ def _build_scenario(args: argparse.Namespace, spec: ExperimentSpec):
 
 
 def _write_json(path: str, payload: Any, what: str) -> None:
-    """Write a ``--json-out``/``--obs-out`` report: indented, sorted
-    JSON ending in one newline.  A plain write, so ``/dev/stdout``
-    works as a path."""
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    """Write a ``--json-out``/``--obs-out`` report: one line of sorted
+    JSON and a newline, from one ``json.dumps`` (``json.dump`` and
+    ``indent=`` bypass the C encoder).  A path naming this process's
+    stdout, such as ``/dev/stdout``, is written through ``sys.stdout``
+    so the report lands after the text already printed."""
+    text = json.dumps(payload, sort_keys=True) + "\n"
+    sys.stdout.flush()
+    if os.path.exists(path) and os.path.samestat(os.stat(path), os.fstat(1)):
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as handle:
+            handle.write(text)
     print(f"{what} written to {path}")
 
 

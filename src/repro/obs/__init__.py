@@ -27,7 +27,6 @@ moves a trace digest (``tests/experiment/test_runner.py``).
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from .engine import DEFAULT_CADENCE, EngineSampler
@@ -126,11 +125,6 @@ class Observability:
                 "samples": self.sampler.samples,
             }
         return out
-
-    def write(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.report(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
     def export_chrome_trace(self, path) -> int:
         if self.spans is None:

@@ -245,8 +245,7 @@ class SpanRecorder:
         """Write the Chrome trace JSON; returns the event count."""
         trace = self.chrome_trace()
         with open(path, "w") as handle:
-            json.dump(trace, handle)
-            handle.write("\n")
+            handle.write(json.dumps(trace) + "\n")
         return len(trace["traceEvents"])
 
     # ------------------------------------------------------------------

@@ -29,6 +29,8 @@ def _run_fragmented_datagram(tmp_path):
     path = tmp_path / "trace.json"
     count = obs.export_chrome_trace(path)
     assert count == len(obs.spans.spans) + 1  # +1 metadata event
+    # One line: a default ``json.dumps`` of the trace and a newline.
+    assert path.read_text() == json.dumps(obs.spans.chrome_trace()) + "\n"
     return scenario, obs, path
 
 

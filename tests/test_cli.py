@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -12,8 +14,6 @@ def _isolated_cwd(tmp_path, monkeypatch):
     the CWD, and those artifacts must not land in the checkout.
     PYTHONPATH entries are absolutized first so subprocess tests
     (``python -m repro``) still resolve a relative ``src``."""
-    import os
-
     paths = os.environ.get("PYTHONPATH", "")
     if paths:
         monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
@@ -282,6 +282,34 @@ class TestModuleEntryPoint:
         assert "Out-IE" in result.stdout
 
 
+class TestJsonOutToStdout:
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                        reason="needs /dev/stdout")
+    def test_dev_stdout_keeps_redirected_output_in_order(self, tmp_path):
+        """``--json-out /dev/stdout`` with stdout redirected to a file:
+        the table, then one parseable JSON line, then the confirmation
+        line.  Opening the path anew would truncate the file under the
+        buffered table and interleave the two writers."""
+        import json
+        import subprocess
+        import sys
+
+        out = tmp_path / "out.txt"
+        with open(out, "w") as handle:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "chaos", "--duration", "20",
+                 "--json-out", "/dev/stdout"],
+                stdout=handle, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        assert result.returncode == 0, result.stderr
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("chaos run: seed=1996 duration=20s")
+        assert any(line.startswith("  registration ") for line in lines[1:-2])
+        report = json.loads(lines[-2])
+        assert report["seed"] == 1996 and report["registered"] is True
+        assert lines[-1] == "chaos report written to /dev/stdout"
+
+
 class TestChaosExitCodes:
     def test_chaos_arms_invariants_and_reports_them(self, capsys):
         assert main(["chaos", "--duration", "40"]) == 0
@@ -366,16 +394,33 @@ class TestSweepSubcommand:
         assert "sweep: 2 runs" in out
         assert "seed=1401" in out and "seed=1996" in out
 
-    def test_sweep_json_out(self, tmp_path, capsys):
+    def test_sweep_json_out(self, tmp_path, capsys, monkeypatch):
+        """The report file is one line of sorted JSON.  Re-indented, it
+        is byte-for-byte what an ``indent=2`` writer makes of the same
+        payload: only whitespace differs."""
         import json
 
+        from repro import cli
+
+        payloads = []
+        write_json = cli._write_json
+
+        def recording_write_json(path, payload, what):
+            payloads.append(payload)
+            write_json(path, payload, what)
+
+        monkeypatch.setattr(cli, "_write_json", recording_write_json)
         out_file = tmp_path / "results.json"
         assert main(["sweep", "--grid", self._grid_file(tmp_path),
                      "--json-out", str(out_file)]) == 0
-        assert out_file.read_text().endswith("}\n")
-        payload = json.loads(out_file.read_text())
+        text = out_file.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        payload = json.loads(text)
         assert payload["runs"] == 2
         assert all(r["digest"] for r in payload["results"])
+        [written] = payloads
+        assert json.dumps(payload, indent=2, sort_keys=True) == \
+            json.dumps(written, indent=2, sort_keys=True)
 
     def test_sweep_parallel_matches_serial_digests(self, tmp_path, capsys):
         import json
