@@ -48,7 +48,7 @@ __all__ = ["CACHE_SALT", "ResultCache", "default_cache_dir", "spec_digest"]
 # Code-version salt folded into every cache key.  Bump whenever a
 # change alters what any spec *produces* (trace format, digest line,
 # metrics shape, invariant semantics...) so stale entries self-retire.
-CACHE_SALT = "repro-mobility-cache-v6"
+CACHE_SALT = "repro-mobility-cache-v7"
 
 
 def default_cache_dir() -> str:

@@ -59,6 +59,7 @@ class RunResult:
     trace_entries: int
     deliverability: Dict[str, Any]
     overhead: Dict[str, Any]
+    # MetricsRegistry.collect(): {"name{k=v,...}": value}.
     metrics: Dict[str, Any]
     invariants: Dict[str, Any]
     registered: Optional[bool]

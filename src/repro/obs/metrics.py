@@ -12,8 +12,10 @@ it already maintains (``node.packets_sent += 1`` stays a bare integer
 increment).  The hot path therefore pays nothing — no method call, no
 flag check — and the cost of observability is concentrated entirely in
 :meth:`MetricsRegistry.collect`, which only runs when somebody asks for
-a snapshot.  Push-style metrics (``inc``/``set``/``observe``) exist for
-code that has no natural attribute to read, e.g. span summaries.
+a snapshot: one flat ``{"name{k=v,...}": value}`` object, values only,
+each metric's ``kind`` staying on the live registry.  Push-style metrics
+(``inc``/``set``/``observe``) exist for code that has no natural
+attribute to read, e.g. span summaries.
 
 This mirrors how production metric systems handle instrumenting code
 that cannot afford per-event overhead (Prometheus custom collectors,
@@ -45,11 +47,15 @@ SIZE_BUCKETS: Tuple[float, ...] = (
     0, 8, 12, 16, 20, 24, 28, 32, 40, 64, 128, 256, 512, 1024, 1500,
 )
 
-LabelKey = Tuple[Tuple[str, str], ...]
+# A label set's identity in the registry and its suffix in a snapshot:
+# ``{k=v,...}`` sorted by key, or "" without labels.
+LabelKey = str
 
 
 def _label_key(labels: Dict[str, str]) -> LabelKey:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+    if not labels:
+        return ""
+    return "{" + ",".join([f"{k}={labels[k]}" for k in sorted(labels)]) + "}"
 
 
 class Counter:
@@ -85,9 +91,6 @@ class Counter:
     def value(self) -> float:
         return self._read() if self._read is not None else self._value
 
-    def snapshot(self) -> Dict[str, Any]:
-        return {"value": self.value}
-
 
 class Gauge:
     """A value that can go up or down (queue depth, binding count)."""
@@ -114,9 +117,6 @@ class Gauge:
     @property
     def value(self) -> float:
         return self._read() if self._read is not None else self._value
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"value": self.value}
 
 
 class Histogram:
@@ -209,7 +209,8 @@ class MetricsRegistry:
 
     *Families* cover dynamically-labelled data that already lives in a
     dict (drop reasons, per-link byte counters): a family is a callback
-    returning ``{label_value: number}``, snapshotted on demand.
+    returning ``{label_value: number}``, snapshotted on demand under its
+    bare name, so no counter, gauge or histogram may share that name.
     """
 
     def __init__(self) -> None:
@@ -239,7 +240,7 @@ class MetricsRegistry:
         self, name: str, bounds: Sequence[float] = LATENCY_BUCKETS, **labels: str
     ) -> Histogram:
         key = _label_key(labels)
-        by_label = self._metrics.setdefault(name, {})
+        by_label = self._by_label(name)
         existing = by_label.get(key)
         if existing is not None:
             if not isinstance(existing, Histogram):
@@ -251,9 +252,14 @@ class MetricsRegistry:
         by_label[key] = metric
         return metric
 
+    def _by_label(self, name: str) -> Dict[LabelKey, Any]:
+        if name in self._families:
+            raise TypeError(f"{name} already registered as family")
+        return self._metrics.setdefault(name, {})
+
     def _register(self, cls: type, name: str, labels: Dict[str, str], read) -> Any:
         key = _label_key(labels)
-        by_label = self._metrics.setdefault(name, {})
+        by_label = self._by_label(name)
         existing = by_label.get(key)
         if existing is not None:
             if not isinstance(existing, cls):
@@ -269,6 +275,9 @@ class MetricsRegistry:
 
     def family(self, name: str, read: Callable[[], Dict[str, float]]) -> None:
         """Register a dynamically-labelled metric family."""
+        if self._metrics.get(name):
+            kind = next(iter(self._metrics[name].values())).kind
+            raise TypeError(f"{name} already registered as {kind}")
         self._families[name] = read
 
     # ------------------------------------------------------------------
@@ -303,16 +312,16 @@ class MetricsRegistry:
     # Export
     # ------------------------------------------------------------------
     def collect(self) -> Dict[str, Any]:
-        """Snapshot every metric into a JSON-serializable structure."""
+        """Snapshot every series into one flat JSON object keyed
+        ``name{k=v,...}`` (labels sorted by key; bare ``name`` without
+        labels), valued by a counter's or gauge's number, a histogram's
+        :meth:`Histogram.snapshot` or a family's dict.
+        """
         out: Dict[str, Any] = {}
         for name in sorted(self._metrics):
-            out[name] = [
-                {"labels": metric.labels, "kind": metric.kind, **metric.snapshot()}
-                for metric in self._metrics[name].values()
-            ]
+            for key, metric in self._metrics[name].items():
+                out[name + key] = (metric.snapshot() if isinstance(metric, Histogram)
+                                   else metric.value)
         for name in sorted(self._families):
-            out[name] = [{
-                "labels": {}, "kind": "family",
-                "value": self.read_family(name),
-            }]
+            out[name] = self.read_family(name)
         return out

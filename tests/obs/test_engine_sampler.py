@@ -123,7 +123,7 @@ class TestObservabilityFacade:
         assert report["spans"]["open"] == 0
         assert report["spans"]["count"] >= 1
         assert report["engine"]["summary"]["samples"] >= 1
-        assert "node.packets_sent" in report["metrics"]
+        assert "node.packets_sent{node=mh}" in report["metrics"]
 
     def test_finish_is_idempotent(self):
         sim = Simulator(seed=3)

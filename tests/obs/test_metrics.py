@@ -126,6 +126,31 @@ class TestRegistry:
         with pytest.raises(TypeError):
             registry.histogram("m", node="a")
 
+    def test_family_and_series_cannot_share_a_name(self):
+        # The snapshot keys a family and an unlabelled series alike, so
+        # a shared name, in either registration order, would hide one.
+        registry = MetricsRegistry()
+        registry.counter("x").inc(5)
+        with pytest.raises(TypeError, match="x already registered as counter"):
+            registry.family("x", lambda: {"a": 1})
+        registry.histogram("h", node="a")
+        with pytest.raises(TypeError, match="h already registered as histogram"):
+            registry.family("h", lambda: {"a": 1})
+        registry.family("f", lambda: {"a": 1})
+        for register in (registry.counter, registry.gauge, registry.histogram):
+            with pytest.raises(TypeError, match="f already registered as family"):
+                register("f")
+            with pytest.raises(TypeError, match="f already registered as family"):
+                register("f", node="a")
+        # A registration that failed leaves no series behind to clash.
+        with pytest.raises(ValueError):
+            registry.histogram("g", bounds=())
+        registry.family("g", lambda: {"b": 2})
+        assert registry.value("x") == 5
+        collected = registry.collect()
+        assert (collected["x"], collected["f"], collected["g"]) == (
+            5, {"a": 1}, {"b": 2})
+
     def test_value_unknown_metric_raises(self):
         with pytest.raises(KeyError):
             MetricsRegistry().value("nope", node="a")
@@ -150,13 +175,23 @@ class TestRegistry:
         registry.gauge("a.depth", read=lambda: 2, node="a")
         registry.histogram("h.lat", bounds=(1.0,), mode="x").observe(0.5)
         registry.family("f.map", lambda: {"k": 1})
-        assert registry.names() == ["a.depth", "f.map", "h.lat", "z.count"]
+        registry.counter("m", b="2", a="1").inc(3)
+        registry.gauge("u", read=lambda: 7)
+        assert registry.names() == [
+            "a.depth", "f.map", "h.lat", "m", "u", "z.count"]
         collected = registry.collect()
-        assert collected["z.count"][0]["kind"] == "counter"
-        assert collected["z.count"][0]["value"] == 1
-        assert collected["a.depth"][0]["value"] == 2
-        assert collected["h.lat"][0]["count"] == 1
-        assert collected["f.map"][0]["value"] == {"k": 1}
+        # One flat object: kind stays on the live metric, labels sort
+        # by key into the name, and an unlabelled series is its name.
+        assert collected == {
+            "a.depth{node=a}": 2,
+            "f.map": {"k": 1},
+            "h.lat{mode=x}": registry.get("h.lat", mode="x").snapshot(),
+            "m{a=1,b=2}": 3,
+            "u": 7,
+            "z.count{node=a}": 1,
+        }
+        assert collected["h.lat{mode=x}"]["count"] == 1
+        assert registry.get("z.count", node="a").kind == "counter"
 
     def test_collect_is_json_serializable(self):
         import json

@@ -169,7 +169,7 @@ class TestObsSubcommand:
         with open(path) as handle:
             report = json.load(handle)
         assert report["spans"]["count"] >= 5
-        assert "node.packets_sent" in report["metrics"]
+        assert "node.packets_sent{node=mh}" in report["metrics"]
         assert report["engine"]["summary"]["samples"] >= 1
 
     def test_obs_out_on_topology(self, tmp_path, capsys):
@@ -181,9 +181,7 @@ class TestObsSubcommand:
             report = json.load(handle)
         # Registration traffic happened before obs attached; the
         # registry still reports it because metrics are pull-based.
-        sent = {row["labels"]["node"]: row["value"]
-                for row in report["metrics"]["node.packets_sent"]}
-        assert sent["mh"] >= 1
+        assert report["metrics"]["node.packets_sent{node=mh}"] >= 1
 
     def test_no_obs_out_no_report(self, tmp_path, capsys):
         assert main(["topology"]) == 0
@@ -418,6 +416,13 @@ class TestSweepSubcommand:
         payload = json.loads(text)
         assert payload["runs"] == 2
         assert all(r["digest"] for r in payload["results"])
+        # Each cell's metrics snapshot is one flat object: a number per
+        # series, an object of numbers per family.
+        for result in payload["results"]:
+            assert result["metrics"]
+            for value in result["metrics"].values():
+                numbers = value.values() if isinstance(value, dict) else [value]
+                assert all(isinstance(n, (int, float)) for n in numbers), value
         [written] = payloads
         assert json.dumps(payload, indent=2, sort_keys=True) == \
             json.dumps(written, indent=2, sort_keys=True)
