@@ -7,7 +7,7 @@
 * :mod:`repro.analysis.reporting` — plain-text tables for benchmarks.
 """
 
-from .chaos import CHAOS_PORT, ChaosReport, build_chaos_stage, demo_plan, run_chaos
+from .chaos import CHAOS_PORT, ChaosReport, demo_plan, run_chaos
 from .collector import ScenarioSnapshot, diff, snapshot
 from .movement import RandomWaypoint, Tour
 from .metrics import Summary, delivery_ratio, overhead_fraction, path_stretch, summarize
@@ -17,7 +17,6 @@ from .scenarios import MH_HOME_ADDRESS, Scenario, build_scenario
 __all__ = [
     "CHAOS_PORT",
     "ChaosReport",
-    "build_chaos_stage",
     "demo_plan",
     "run_chaos",
     "ScenarioSnapshot",

@@ -2,8 +2,8 @@
 
 The recovery machinery of §7.1.2 — probe ladder, retransmission
 feedback, registration retries — was designed for networks that fail.
-This module runs the standard figure stage (:func:`build_chaos_stage`)
-under a :class:`~repro.netsim.faults.FaultPlan` while a long-lived TCP
+This module runs the standard figure stage (:func:`chaos_spec`) under
+a :class:`~repro.netsim.faults.FaultPlan` while a long-lived TCP
 conversation between the mobile host and the correspondent keeps the
 delivery-mode machinery honest: blackouts demote it down the ladder, a
 home-agent crash forces registration backoff, and recovery lets the
@@ -17,7 +17,6 @@ the chaos determinism tests pin.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -26,31 +25,17 @@ from ..experiment.runner import Runner
 from ..experiment.spec import ExperimentSpec
 from ..mobileip.correspondent import Awareness
 from ..netsim.faults import FaultKind, FaultPlan
-from .scenarios import Scenario, build_scenario
+from .scenarios import Scenario
 
 __all__ = [
     "CHAOS_PORT",
     "ChaosReport",
-    "build_chaos_stage",
     "chaos_spec",
     "demo_plan",
     "run_chaos",
 ]
 
 CHAOS_PORT = 6100
-
-# build_scenario kwarg names whose spec field is spelled differently.
-_KWARG_TO_SPEC_FIELD = {"ch_awareness": "awareness", "scheme": "encap"}
-
-
-def _spec_fields(overrides: Dict[str, Any]) -> Dict[str, Any]:
-    """Translate ``build_scenario`` keyword overrides to spec fields."""
-    fields: Dict[str, Any] = {}
-    for key, value in overrides.items():
-        if isinstance(value, enum.Enum):
-            value = value.value
-        fields[_KWARG_TO_SPEC_FIELD.get(key, key)] = value
-    return fields
 
 
 def chaos_spec(
@@ -67,7 +52,7 @@ def chaos_spec(
     the correspondent can decapsulate, so a conservative-first mobile
     host genuinely climbs Out-IE → Out-DE → Out-DH when the network is
     healthy — giving faults something to knock down.  ``overrides``
-    take ``build_scenario`` keyword names for backward compatibility.
+    are further spec fields.
     """
     fields: Dict[str, Any] = dict(
         seed=seed,
@@ -79,18 +64,8 @@ def chaos_spec(
         arm_invariants=arm_invariants,
         faults=plan.to_dict() if plan is not None else None,
     )
-    fields.update(_spec_fields(overrides))
+    fields.update(overrides)
     return ExperimentSpec(**fields)
-
-
-def build_chaos_stage(
-    seed: int = 4242,
-    strategy: ProbeStrategy = ProbeStrategy.CONSERVATIVE_FIRST,
-    **overrides: Any,
-) -> Scenario:
-    """Build (only) the chaos stage — :func:`chaos_spec`'s world."""
-    spec = chaos_spec(seed=seed, strategy=strategy, **overrides)
-    return build_scenario(**spec.scenario_kwargs())
 
 
 def demo_plan() -> FaultPlan:
@@ -209,7 +184,6 @@ def run_chaos(
     reg_lifetime: Optional[float] = None,
     arm_invariants: bool = False,
     flightrec_path: Optional[str] = None,
-    flightrec_limit: Optional[int] = None,
     **overrides: Any,
 ) -> ChaosReport:
     """Run one chaos scenario end to end and report.
@@ -224,6 +198,7 @@ def run_chaos(
     refresh cadence so a scripted home-agent outage lands on a live
     refresh instead of slipping between 300-second ones.
 
+    ``overrides`` are further spec fields (the CLI passes ``observe``).
     ``flightrec_path`` arms the flight recorder for the run; beyond the
     runner's own dump-on-violation, a chaos run also dumps when the
     mobile host ends the run unregistered — the chaos-specific "the
@@ -285,8 +260,7 @@ def run_chaos(
         sim.events.schedule(message_interval, tick)
         return None
 
-    runner = Runner(
-        flightrec_path=flightrec_path, flightrec_limit=flightrec_limit)
+    runner = Runner(flightrec_path=flightrec_path)
     result = runner.run(spec, driver=conversation)
     scenario = runner.scenario
     assert scenario is not None

@@ -552,28 +552,31 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               "written", file=sys.stderr)
         return 130
     if result.violation_count:
+        violated = sorted({v["invariant"] for r in result.results
+                           for v in r.violations})
         print(f"error: {result.violation_count} invariant violation(s) "
-              "across the sweep", file=sys.stderr)
+              f"across the sweep: {', '.join(violated)}", file=sys.stderr)
         return 1
     return 0
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     """Property-based fuzzing with invariants armed; shrink on failure."""
-    from .verify.fuzz import replay_repro, run_fuzz
+    from .verify.fuzz import run_case, run_fuzz
 
     if args.repro:
         try:
-            result = replay_repro(args.repro)
-        except (OSError, ValueError, KeyError) as exc:
+            spec = ExperimentSpec.from_file(args.repro)
+        except (OSError, SpecError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        result = run_case(spec)
         if result.ok:
             print(f"repro {args.repro}: no violations "
                   f"({result.trace_entries} trace entries)")
             return 0
-        print(f"repro {args.repro}: violations "
-              f"{result.violated_invariants()}")
+        violated = sorted({v["invariant"] for v in result.violations})
+        print(f"repro {args.repro}: violations {violated}")
         for violation in result.violations[:10]:
             print(f"  [{violation['invariant']}] t={violation['time']:.3f} "
                   f"node={violation['node']}: {violation['message']}")

@@ -323,12 +323,9 @@ def _resolve_traffic_target(scenario: Scenario, target: Optional[str]):
 def _schedule_traffic(scenario: Scenario, spec: ExperimentSpec) -> None:
     """Install the spec's UDP program on the scenario's sockets.
 
-    The two socket disciplines replicate the legacy call sites exactly
-    (see :class:`~repro.experiment.spec.TrafficProgram`): ``ch_bind``
-    opens the correspondent socket first, bound at ``port`` (the
-    fuzzer's shape); otherwise the mobile host binds at ``port`` and
-    the correspondent sends from an ephemeral socket (the canonical
-    workload's shape).
+    The correspondent and the mobile endpoint each bind a socket at the
+    program's ``port``, and each datagram goes to the other end's
+    ``port``.
     """
     program = spec.traffic
     assert program is not None
@@ -336,29 +333,20 @@ def _schedule_traffic(scenario: Scenario, spec: ExperimentSpec) -> None:
     assert scenario.ch is not None and scenario.ch_ip is not None, (
         "traffic program needs a correspondent")
     mobile = _resolve_traffic_target(scenario, program.target)
-    if program.ch_bind:
-        ch_sock = scenario.ch.stack.udp_socket(program.port)
-        ch_sock.on_receive(_traffic_sink)
-        mh_sock = mobile.stack.udp_socket(program.port)
-        mh_sock.on_receive(_traffic_sink)
-        dst_port = program.port
-    else:
-        mh_sock = mobile.stack.udp_socket(program.port)
-        mh_sock.on_receive(_traffic_sink)
-        ch_sock = scenario.ch.stack.udp_socket()
-        ch_sock.on_receive(_traffic_sink)
-        dst_port = program.port
-    indexed = program.payload_style == "indexed"
+    port = program.port
+    ch_sock = scenario.ch.stack.udp_socket(port)
+    ch_sock.on_receive(_traffic_sink)
+    mh_sock = mobile.stack.udp_socket(port)
+    mh_sock.on_receive(_traffic_sink)
     for index, event in enumerate(program.resolved_events()):
         if event["direction"] == "mh->ch":
             socket, dst = mh_sock, scenario.ch_ip
         else:
             socket, dst = ch_sock, mobile.home_address
-        payload = ("fuzz", index) if indexed else "x"
         sim.events.schedule(
             event["at"],
-            lambda s=socket, p=payload, size=event["size"], d=dst:
-                s.sendto(p, size, d, dst_port),
+            lambda s=socket, size=event["size"], d=dst:
+                s.sendto("x", size, d, port),
             label=f"traffic-{index}",
         )
 

@@ -47,7 +47,6 @@ __all__ = [
 
 ADVERSARY_KINDS = ("spoof", "replay", "bogus", "truncated")
 _DIRECTIONS = ("mh->ch", "ch->mh")
-_PAYLOAD_STYLES = ("plain", "indexed")
 
 # The canonical scenario-traffic workload (the golden trace, the
 # scenario_traffic benchmark, `repro-mobility obs`): 200 datagrams,
@@ -83,18 +82,27 @@ _RETIRED_FIELDS: Dict[str, type] = {
     "trace_entries": bool,
     "trace_aggregates": bool,
 }
+# The same for the traffic object's fields.
+_RETIRED_TRAFFIC_FIELDS: Dict[str, type] = {
+    "ch_bind": bool,
+    "payload_style": str,
+}
 
 
-def drop_retired_fields(data: Dict[str, Any], where: str) -> Dict[str, Any]:
+def drop_retired_fields(
+    data: Dict[str, Any],
+    where: str,
+    retired_fields: Dict[str, type] = _RETIRED_FIELDS,
+) -> Dict[str, Any]:
     """``data`` without its retired fields (each type-checked first)."""
-    retired = [name for name in data if name in _RETIRED_FIELDS]
+    retired = [name for name in data if name in retired_fields]
     if not retired:
         return data
     for name in retired:
-        _require(isinstance(data[name], _RETIRED_FIELDS[name]),
+        _require(isinstance(data[name], retired_fields[name]),
                  f"{where} field {name!r} must be a "
-                 f"{_RETIRED_FIELDS[name].__name__}, got {data[name]!r}")
-    return {k: v for k, v in data.items() if k not in _RETIRED_FIELDS}
+                 f"{retired_fields[name].__name__}, got {data[name]!r}")
+    return {k: v for k, v in data.items() if k not in retired_fields}
 
 
 @dataclass
@@ -108,18 +116,13 @@ class TrafficProgram:
     * ``uniform`` — ``{"datagrams", "spacing", "size", "direction"}``,
       expanded on demand (keeps grid JSON small).
 
-    ``ch_bind`` selects the two socket disciplines in the tree: the
-    canonical workload binds the mobile host at ``port`` and sends from
-    an ephemeral correspondent socket; the fuzzer binds both ends at
-    ``port``.  ``payload_style`` picks the legacy payloads ("plain" is
-    the canonical ``"x"``, "indexed" is the fuzzer's ``("fuzz", i)``).
-    Both knobs exist so that a spec-driven run reproduces the exact
-    trace bytes of the hand-rolled loop it replaced.
+    Both ends bind a UDP socket at ``port`` and send to the other's
+    ``port``.  The program once had two more socket knobs; they changed
+    no trace, and files that still carry them load with the keys
+    type-checked and dropped (``_RETIRED_TRAFFIC_FIELDS``).
     """
 
     port: int = CANONICAL_PORT
-    ch_bind: bool = False
-    payload_style: str = "plain"
     events: List[Dict[str, Any]] = field(default_factory=list)
     uniform: Optional[Dict[str, Any]] = None
     # Mobile-side endpoint override: the name of another node to use in
@@ -135,11 +138,6 @@ class TrafficProgram:
     def validate(self) -> None:
         _require(_is_int(self.port) and 1 <= self.port <= 65535,
                  f"traffic port must be 1..65535, got {self.port!r}")
-        _require(isinstance(self.ch_bind, bool),
-                 f"traffic ch_bind must be a bool, got {self.ch_bind!r}")
-        _require(self.payload_style in _PAYLOAD_STYLES,
-                 f"traffic payload_style must be one of {_PAYLOAD_STYLES}, "
-                 f"got {self.payload_style!r}")
         _require(self.target is None
                  or (isinstance(self.target, str) and self.target),
                  f"traffic target must be a non-empty node name or null, "
@@ -214,6 +212,7 @@ class TrafficProgram:
     def from_dict(cls, data: Dict[str, Any]) -> "TrafficProgram":
         _require(isinstance(data, dict),
                  f"traffic must be an object, got {data!r}")
+        data = drop_retired_fields(data, "traffic", _RETIRED_TRAFFIC_FIELDS)
         unknown = set(data) - {f for f in cls.__dataclass_fields__}
         _require(not unknown,
                  f"traffic has unknown fields {sorted(unknown)}")
@@ -499,7 +498,8 @@ class ExperimentSpec:
 
         Accepts either a bare spec object or a fuzz repro file (the
         spec lives under its ``"spec"`` key), so a shrunken fuzz
-        failure replays directly: ``sweep --spec repro.json``.
+        failure replays directly: ``fuzz --repro repro.json`` and
+        ``sweep --spec repro.json`` both load it here.
         """
         with open(path) as handle:
             try:

@@ -107,7 +107,7 @@ def encapsulate(
     The returned outer packet shares the inner packet's ``trace_id`` so
     the trace log can follow the logical datagram through the tunnel.
     Minimal encapsulation refuses to nest (the real mechanism cannot
-    carry an already-encapsulated packet, since it has no inner IP
+    carry a tunnel packet of any scheme, since it has no inner IP
     header to compress).
     """
     if inner.more_fragments or inner.frag_offset:
@@ -116,7 +116,7 @@ def encapsulate(
     outer_dst = IPAddress(outer_dst)
 
     if scheme is EncapScheme.MINIMAL:
-        if inner.is_encapsulated:
+        if scheme_of(inner) is not None:
             raise EncapError("minimal encapsulation cannot nest tunnels")
         carries_source = outer_src != inner.src
         shim = (

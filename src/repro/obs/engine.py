@@ -45,7 +45,6 @@ class EngineSampler:
         self.cadence = cadence
         self.max_samples = max_samples
         self.samples: List[Dict[str, Any]] = []
-        self._last_link_bytes: Dict[str, int] = {}
         self._last_busy_bits: Dict[str, int] = {}
         self._timer = None
         self._running = False
@@ -58,7 +57,6 @@ class EngineSampler:
         # Prime the utilization deltas so the first sample measures the
         # first interval, not all traffic since t=0.
         for name, segment in self.sim.segments.items():
-            self._last_link_bytes[name] = segment.bytes_carried
             self._last_busy_bits[name] = segment.busy_bits
         self._timer = self.sim.events.schedule(
             self.cadence, self._tick, label="obs:engine-sample"
@@ -104,7 +102,6 @@ class EngineSampler:
         links = {}
         for name, segment in self.sim.segments.items():
             carried = segment.bytes_carried
-            self._last_link_bytes[name] = carried
             # Utilization comes from the line-occupancy accumulator, not
             # the byte counter: with bounded-queue links the line serializes
             # exactly busy_bits over the interval, and on the legacy

@@ -13,6 +13,24 @@ from repro.experiment import (
 )
 
 
+# Removed spec fields ("traffic." for the traffic object's): a value
+# of the type the field had, and a value of another type.
+RETIRED_FIELDS = {
+    "fast_forward": (True, "yes"),
+    "trace_entries": (True, "yes"),
+    "trace_aggregates": (True, "yes"),
+    "traffic.ch_bind": (False, "yes"),
+    "traffic.payload_style": ("indexed", 1),
+}
+
+
+def _retired_key(spec_dict, field):
+    """The dict that holds retired ``field`` in ``spec_dict``, and the
+    key's name there."""
+    *owner, name = field.split(".")
+    return (spec_dict[owner[0]] if owner else spec_dict), name
+
+
 class TestJsonRoundTrip:
     def test_default_spec_round_trips(self):
         spec = ExperimentSpec()
@@ -30,7 +48,7 @@ class TestJsonRoundTrip:
             encap="gre",
             auth_key="secret",
             traffic=TrafficProgram(
-                port=6200, ch_bind=True, payload_style="indexed",
+                port=6200,
                 events=[{"at": 0.5, "direction": "mh->ch", "size": 300}],
             ),
             faults={"events": [{"time": 8.0, "kind": "link-flap",
@@ -80,28 +98,28 @@ class TestJsonRoundTrip:
             {"case": {}, "violations": [], "spec": spec.to_dict()}))
         assert ExperimentSpec.from_file(str(repro)) == spec
 
-    @pytest.mark.parametrize(
-        "field", ["fast_forward", "trace_entries", "trace_aggregates"])
+    @pytest.mark.parametrize("field", list(RETIRED_FIELDS))
     def test_retired_field_loads_and_is_dropped(self, tmp_path, field):
         # Spec, grid, and fuzz-repro files written while the flow
-        # replay engine or the trace levels existed carry these
-        # boolean keys.
+        # replay engine, the trace levels, or the two traffic socket
+        # knobs existed carry these keys.
         legacy = canonical_traffic_spec(datagrams=3).to_dict()
-        legacy[field] = True
+        owner, name = _retired_key(legacy, field)
+        owner[name] = RETIRED_FIELDS[field][0]
         spec = ExperimentSpec.from_dict(legacy)
         assert spec == canonical_traffic_spec(datagrams=3)
-        assert field not in spec.to_dict()
-        assert field not in json.loads(spec.to_json())
+        assert name not in _retired_key(spec.to_dict(), field)[0]
+        assert name not in _retired_key(json.loads(spec.to_json()), field)[0]
         repro = tmp_path / "repro.json"
         repro.write_text(json.dumps({"case": {}, "spec": legacy}))
         assert ExperimentSpec.from_file(str(repro)) == spec
 
-    @pytest.mark.parametrize(
-        "field", ["fast_forward", "trace_entries", "trace_aggregates"])
+    @pytest.mark.parametrize("field", list(RETIRED_FIELDS))
     def test_retired_field_keeps_its_type_check(self, field):
-        legacy = ExperimentSpec().to_dict()
-        legacy[field] = "yes"
-        with pytest.raises(SpecError, match=field):
+        legacy = canonical_traffic_spec(datagrams=3).to_dict()
+        owner, name = _retired_key(legacy, field)
+        owner[name] = RETIRED_FIELDS[field][1]
+        with pytest.raises(SpecError, match=name):
             ExperimentSpec.from_dict(legacy)
 
     def test_from_file_rejects_bad_json(self, tmp_path):
@@ -147,6 +165,9 @@ class TestValidation:
     def test_unknown_spec_field_rejected(self):
         with pytest.raises(SpecError, match="unknown fields.*bogus"):
             ExperimentSpec.from_dict({"seed": 1, "bogus": True})
+        # A retired traffic key is dropped only inside the traffic object.
+        with pytest.raises(SpecError, match="unknown fields.*ch_bind"):
+            ExperimentSpec.from_dict({"seed": 1, "ch_bind": True})
 
     def test_traffic_needs_a_correspondent(self):
         with pytest.raises(SpecError, match="needs a correspondent"):
@@ -155,7 +176,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("traffic,match", [
         ({"port": 0}, "port"),
-        ({"payload_style": "morse"}, "payload_style"),
+        ({"target": ""}, "target"),
         ({"events": [{"at": 1.0, "direction": "up", "size": 10}]},
          "direction"),
         ({"events": [{"at": 1.0, "direction": "mh->ch", "size": 0}]},

@@ -94,8 +94,10 @@ class TestErrors:
         with pytest.raises(EncapError):
             decapsulate(inner_packet())
 
-    def test_minimal_cannot_nest(self):
-        once = encapsulate(inner_packet(), COA, HA, scheme=EncapScheme.IPIP)
+    @pytest.mark.parametrize("scheme", list(EncapScheme),
+                             ids=lambda scheme: scheme.value)
+    def test_minimal_cannot_nest(self, scheme):
+        once = encapsulate(inner_packet(), COA, HA, scheme=scheme)
         with pytest.raises(EncapError):
             encapsulate(once, COA, HA, scheme=EncapScheme.MINIMAL)
 

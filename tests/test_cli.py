@@ -351,7 +351,7 @@ class TestFuzzSubcommand:
         captured = capsys.readouterr().out
         assert "FAILED" in captured
         payload = json.loads(out_file.read_text())
-        assert payload["case"]
+        assert payload["spec"]
         # Replaying the repro (sabotage still in place) fails too…
         assert main(["fuzz", "--repro", str(out_file)]) == 1
         assert "ttl-decreases" in capsys.readouterr().out
@@ -363,13 +363,18 @@ class TestFuzzSubcommand:
 
         repro = tmp_path / "clean.json"
         repro.write_text(json.dumps(
-            {"case": generate_case(4242).to_dict(), "violations": []}))
+            {"spec": generate_case(4242).to_dict(), "violations": []}))
         assert main(["fuzz", "--repro", str(repro)]) == 0
         assert "no violations" in capsys.readouterr().out
 
     def test_fuzz_missing_repro_errors(self, tmp_path, capsys):
         assert main(["fuzz", "--repro", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err
+        # A repro file from before the spec key holds only a case record.
+        old = tmp_path / "old.json"
+        old.write_text('{"case": {"seed": 1}, "violations": []}')
+        assert main(["fuzz", "--repro", str(old)]) == 1
+        assert "unknown fields" in capsys.readouterr().err
 
 
 class TestSweepSubcommand:

@@ -1,16 +1,36 @@
 """Tests for the self-shrinking fuzz harness."""
 
+import hashlib
 import json
+import random
 
+from repro.experiment import ExperimentSpec
 from repro.netsim.router import Router
 from repro.verify.fuzz import (
-    FuzzCase,
     generate_case,
-    replay_repro,
     run_case,
     run_fuzz,
     shrink_case,
 )
+
+# sha256 of the canonical JSON of the first 20 cases of the seed-4
+# campaign.  A change that widens the generator updates this and says
+# why in CHANGES.md.
+CAMPAIGN_PIN = (
+    "0d8bd6b5b139c005497f19f4b0e045b8631c37fbb1b268b4ecf755400b7a61fe")
+
+
+def _event_lists(spec):
+    faults = spec.faults["events"] if spec.faults is not None else []
+    return spec.traffic.events, faults, spec.adversary
+
+
+def _event_count(spec):
+    return sum(len(events) for events in _event_lists(spec))
+
+
+def _violated(result):
+    return {v["invariant"] for v in result.violations}
 
 
 class TestCaseGeneration:
@@ -22,15 +42,21 @@ class TestCaseGeneration:
         assert len(cases) == 10
 
     def test_events_are_time_sorted(self):
-        case = generate_case(7)
-        for events, key in ((case.traffic, "at"), (case.faults, "time"),
-                            (case.adversary, "at")):
+        for events, key in zip(_event_lists(generate_case(7)),
+                               ("at", "time", "at")):
             times = [e[key] for e in events]
             assert times == sorted(times)
 
     def test_json_round_trip(self):
         case = generate_case(99)
-        assert FuzzCase.from_json(case.to_json()) == case
+        assert ExperimentSpec.from_json(case.to_json()) == case
+
+    def test_campaign_cases_are_pinned(self):
+        master = random.Random(4)
+        seeds = [master.randrange(1 << 31) for _ in range(20)]
+        text = json.dumps([generate_case(s).to_dict() for s in seeds],
+                          sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == CAMPAIGN_PIN
 
 
 class TestRunCase:
@@ -38,16 +64,17 @@ class TestRunCase:
         case = generate_case(4242)
         first = run_case(case)
         second = run_case(case)
+        assert first.digest == second.digest
         assert first.trace_entries == second.trace_entries
-        assert first.checks == second.checks
+        assert first.invariants["checks"] == second.invariants["checks"]
         assert first.violations == second.violations
 
     def test_case_runs_are_violation_free_and_checked(self):
         case = generate_case(4242)
         result = run_case(case)
         assert result.ok, result.violations
-        assert result.checks["no-loop"] > 0
-        assert result.checks["termination"] > 0
+        assert result.invariants["checks"]["no-loop"] > 0
+        assert result.invariants["checks"]["termination"] > 0
 
 
 class TestFuzzLoop:
@@ -70,55 +97,22 @@ class TestFuzzLoop:
         assert report.failed
         assert any(v["invariant"] == "ttl-decreases"
                    for v in report.violations)
-        shrunk = FuzzCase.from_dict(report.shrunk_case)
-        assert shrunk.event_count <= 10
-        # The repro file replays to the same violation.
+        assert _event_count(report.shrunk_case) <= 10
+        # The repro file holds both specs, and the spec loader that
+        # `fuzz --repro` and `sweep --spec` share replays the shrunken
+        # one to the same violation.
         payload = json.loads(out.read_text())
-        assert payload["case"] == report.shrunk_case
-        result = replay_repro(str(out))
-        assert "ttl-decreases" in result.violated_invariants()
+        assert sorted(payload) == ["original_spec", "spec", "violations"]
+        assert payload["spec"] == report.shrunk_case.to_dict()
+        assert payload["original_spec"] == report.failing_case.to_dict()
+        spec = ExperimentSpec.from_file(str(out))
+        assert spec == report.shrunk_case
+        assert "ttl-decreases" in _violated(run_case(spec))
 
     def test_shrinking_preserves_the_target_violation(self, monkeypatch):
         monkeypatch.setattr(Router, "ttl_decrement", 0)
         case = generate_case(4242)
-        assert "ttl-decreases" in run_case(case).violated_invariants()
+        assert "ttl-decreases" in _violated(run_case(case))
         shrunk = shrink_case(case, "ttl-decreases", max_runs=40)
-        assert shrunk.event_count <= case.event_count
-        assert "ttl-decreases" in run_case(shrunk).violated_invariants()
-
-
-class TestCaseAsSpec:
-    def test_spec_json_round_trip(self):
-        from repro.experiment import ExperimentSpec
-
-        spec = generate_case(4242).to_spec()
-        clone = ExperimentSpec.from_json(spec.to_json())
-        assert clone == spec
-
-    def test_spec_replays_identically_to_run_case(self):
-        from repro.experiment import Runner
-
-        case = generate_case(4242)
-        legacy = run_case(case)
-        result = Runner().run(case.to_spec())
-        assert result.trace_entries == legacy.trace_entries
-        assert result.invariants["checks"] == legacy.checks
-        assert result.violations == legacy.violations
-
-    def test_repro_file_embeds_a_loadable_spec(self, monkeypatch, tmp_path):
-        from repro.experiment import ExperimentSpec, Runner
-
-        monkeypatch.setattr(Router, "ttl_decrement", 0)
-        out = tmp_path / "repro.json"
-        report = run_fuzz(iterations=5, seed=4, out=str(out))
-        assert report.failed
-        payload = json.loads(out.read_text())
-        # The shrunken world ships as a spec alongside the case…
-        spec = ExperimentSpec.from_dict(payload["spec"])
-        assert spec == FuzzCase.from_dict(payload["case"]).to_spec()
-        # …and ExperimentSpec.from_file unwraps the repro envelope, so
-        # the sweep CLI replays it to the same violation.
-        assert ExperimentSpec.from_file(str(out)) == spec
-        result = Runner().run(spec)
-        assert any(v["invariant"] == "ttl-decreases"
-                   for v in result.violations)
+        assert _event_count(shrunk) <= _event_count(case)
+        assert "ttl-decreases" in _violated(run_case(shrunk))
