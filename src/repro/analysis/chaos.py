@@ -17,7 +17,7 @@ the chaos determinism tests pin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional
 
 from ..core.selection import ProbeStrategy
@@ -41,7 +41,6 @@ CHAOS_PORT = 6100
 def chaos_spec(
     seed: int = 4242,
     duration: float = 260.0,
-    strategy: ProbeStrategy = ProbeStrategy.CONSERVATIVE_FIRST,
     plan: Optional[FaultPlan] = None,
     arm_invariants: bool = False,
     **overrides: Any,
@@ -58,7 +57,7 @@ def chaos_spec(
         seed=seed,
         duration=duration,
         absolute=True,
-        strategy=strategy.value,
+        strategy=ProbeStrategy.CONSERVATIVE_FIRST.value,
         awareness=Awareness.DECAP_CAPABLE.value,
         visited_filtering=False,
         arm_invariants=arm_invariants,
@@ -122,28 +121,7 @@ class ChaosReport:
     obs: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "duration": self.duration,
-            "digest": self.digest,
-            "trace_entries": self.trace_entries,
-            "faults": dict(self.faults),
-            "messages_sent": self.messages_sent,
-            "echoes": self.echoes,
-            "reconnects": self.reconnects,
-            "registration_attempts": self.registration_attempts,
-            "registration_failures": self.registration_failures,
-            "registered": self.registered,
-            "ha_restarts": self.ha_restarts,
-            "ha_bindings": self.ha_bindings,
-            "mode_changes": self.mode_changes,
-            "final_mode": self.final_mode,
-            "forgiveness": self.forgiveness,
-            "invariants_armed": self.invariants_armed,
-            "invariant_violations": self.invariant_violations,
-            "flightrec_path": self.flightrec_path,
-            "obs": self.obs,
-        }
+        return asdict(self)
 
     def render(self) -> str:
         faults = ", ".join(
@@ -180,7 +158,6 @@ def run_chaos(
     seed: int = 4242,
     duration: float = 260.0,
     message_interval: float = 2.0,
-    strategy: ProbeStrategy = ProbeStrategy.CONSERVATIVE_FIRST,
     reg_lifetime: Optional[float] = None,
     arm_invariants: bool = False,
     flightrec_path: Optional[str] = None,
@@ -211,7 +188,6 @@ def run_chaos(
     spec = chaos_spec(
         seed=seed,
         duration=duration,
-        strategy=strategy,
         plan=plan,
         arm_invariants=arm_invariants,
         **overrides,
@@ -258,7 +234,6 @@ def run_chaos(
 
         fresh_conn()
         sim.events.schedule(message_interval, tick)
-        return None
 
     runner = Runner(flightrec_path=flightrec_path)
     result = runner.run(spec, driver=conversation)

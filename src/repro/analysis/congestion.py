@@ -5,28 +5,30 @@ datagram travels: In-IE bends every packet through the home domain and
 back out (crossing the home uplink twice per datagram), In-DE tunnels
 straight to the care-of address once the correspondent learns the
 binding, and In-DH short-circuits to a link-layer send on the shared
-LAN.  With PR 8's bounded-queue transmission lines those paths finally
-*cost* differently: throttle ``uplink-home`` and the triangle route
-queues, overflows, and pays serialization delay that the direct routes
-avoid.
+LAN.  With bounded-queue transmission lines those paths *cost*
+differently: throttle ``uplink-home`` and the triangle route queues,
+overflows, and pays serialization delay that the direct routes avoid.
 
 :func:`run_congestion` runs one cell per incoming mode over the same
-seeded contention stage — home uplink throttled via ``link_bandwidths``
-and bounded via ``queue_capacities`` — with invariants armed (every
-queue-overflow loss must be a classified terminal fate) and the
-engine sampler on (per-link queue depth and busy-line utilization).
-Per-datagram latency is measured end to end at the sockets, so the
+seeded contention stage.  Each cell is a plain :class:`ExperimentSpec`
+(:func:`congestion_spec`): the home uplink throttled via
+``link_bandwidths`` and bounded via ``queue_capacities``, a CH→MH
+datagram train as its ``TrafficProgram``, and invariants armed (every
+queue-overflow loss must be a classified terminal fate).  Per-datagram
+latency is read from the trace, from the datagram's first ``send`` at
+the correspondent to its ``deliver`` at the mobile host, and the
+bottleneck's exact queue high-water mark from the segment, so the
 report ranks the modes by goodput and delay the way Figure 10 ranks
 them by reachability.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..experiment.runner import Runner
-from ..experiment.spec import ExperimentSpec
+from ..experiment.spec import ExperimentSpec, TrafficProgram
 from ..mobileip.correspondent import Awareness
 from .scenarios import Scenario
 
@@ -65,17 +67,20 @@ _CELLS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
 def congestion_spec(
     mode: str = "In-IE",
     seed: int = 1402,
-    duration: float = 20.0,
+    datagrams: int = 400,
+    spacing: float = 0.002,
+    size: int = 1000,
     bandwidth: float = DEFAULT_BANDWIDTH,
     queue: int = DEFAULT_QUEUE,
-    observe: bool = True,
+    duration: float = 20.0,
+    observe: bool = False,
 ) -> ExperimentSpec:
     """One congestion cell as an :class:`ExperimentSpec`.
 
-    The traffic itself is installed by :func:`run_congestion`'s driver
-    (latency is measured at the sockets), so the spec carries only the
-    world: the throttled, bounded home uplink and the correspondent
-    posture for ``mode``.
+    The world is the throttled, bounded home uplink and the
+    correspondent posture for ``mode``; the traffic is a paced CH→MH
+    train of ``datagrams`` sends of ``size`` bytes every ``spacing``
+    seconds, deliberately more than the throttled uplink can carry.
     """
     overrides = dict(_CELLS)[mode]  # KeyError on an unknown mode
     return ExperimentSpec(
@@ -84,6 +89,12 @@ def congestion_spec(
         label=f"congestion-{mode}",
         link_bandwidths={BOTTLENECK_SEGMENT: bandwidth},
         queue_capacities={BOTTLENECK_SEGMENT: queue},
+        traffic=TrafficProgram(port=CONGESTION_PORT, uniform={
+            "datagrams": datagrams,
+            "spacing": spacing,
+            "size": size,
+            "direction": "ch->mh",
+        }),
         arm_invariants=True,
         observe=observe,
         **overrides,
@@ -112,21 +123,7 @@ class CongestionCell:
         return self.received / self.sent if self.sent else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "mode": self.mode,
-            "sent": self.sent,
-            "received": self.received,
-            "goodput": self.goodput,
-            "latency_mean": self.latency_mean,
-            "latency_p50": self.latency_p50,
-            "latency_p99": self.latency_p99,
-            "queue_dropped": self.queue_dropped,
-            "peak_queue_depth": self.peak_queue_depth,
-            "bottleneck_busy": self.bottleneck_busy,
-            "losses_by_reason": dict(self.losses_by_reason),
-            "invariant_violations": self.invariant_violations,
-            "digest": self.digest,
-        }
+        return {**asdict(self), "goodput": self.goodput}
 
 
 @dataclass
@@ -138,6 +135,8 @@ class CongestionReport:
     queue: int
     datagrams: int
     cells: List[CongestionCell] = field(default_factory=list)
+    # One observability report per observed cell; not in to_dict().
+    obs: List[Dict[str, Any]] = field(default_factory=list)
 
     def ranked(self) -> List[CongestionCell]:
         return sorted(
@@ -203,6 +202,27 @@ def _percentile(ordered: List[float], fraction: float) -> float:
     return ordered[index]
 
 
+def _latencies(scenario: Scenario) -> Tuple[int, List[float]]:
+    """(sent, sorted latencies) of the CH→MH train, from the trace: each
+    UDP datagram's first ``send`` at the correspondent to its
+    ``deliver`` at the mobile host, by trace id.  The UDP filter skips
+    the outer ``send`` of a tunnel packet."""
+    assert scenario.ch is not None
+    ch, mh = scenario.ch.name, scenario.mh.name
+    first_send: Dict[int, float] = {}
+    latencies: List[float] = []
+    for entry in scenario.sim.trace.entries:
+        if entry.proto != "UDP":
+            continue
+        if entry.action == "send" and entry.node == ch:
+            # A datagram resent link-direct keeps its first send.
+            first_send.setdefault(entry.trace_id, entry.time)
+        elif (entry.action == "deliver" and entry.node == mh
+              and entry.trace_id in first_send):
+            latencies.append(entry.time - first_send[entry.trace_id])
+    return len(first_send), sorted(latencies)
+
+
 def run_congestion(
     seed: int = 1402,
     datagrams: int = 400,
@@ -211,70 +231,40 @@ def run_congestion(
     bandwidth: float = DEFAULT_BANDWIDTH,
     queue: int = DEFAULT_QUEUE,
     duration: float = 20.0,
-    observe: bool = True,
+    observe: bool = False,
 ) -> CongestionReport:
     """Run every In-* congestion cell and rank the modes.
 
-    Each cell offers the same paced CH→MH datagram train (``datagrams``
-    sends of ``size`` bytes every ``spacing`` seconds — deliberately
-    more than the throttled uplink can carry) and measures per-datagram
-    latency at the receiving socket via indexed payloads.  Every run
-    arms the invariant monitor, so a queue-overflow loss that escaped
-    terminal-fate classification fails loudly here.
+    Each cell runs :func:`congestion_spec` for its mode with the same
+    train.  Every run arms the invariant monitor, so a queue-overflow
+    loss that escaped terminal-fate classification fails loudly here.
+    ``observe`` arms the observability layer on each cell and collects
+    the reports on :attr:`CongestionReport.obs`.
     """
     report = CongestionReport(
         seed=seed, bandwidth=bandwidth, queue=queue, datagrams=datagrams)
     for mode, _overrides in _CELLS:
         spec = congestion_spec(
-            mode=mode, seed=seed, duration=duration,
-            bandwidth=bandwidth, queue=queue, observe=observe)
-        sent_at: Dict[int, float] = {}
-        latencies: List[float] = []
-
-        def driver(scenario: Scenario, _spec: ExperimentSpec):
-            assert scenario.ch is not None
-            sim = scenario.sim
-            mh_sock = scenario.mh.stack.udp_socket(CONGESTION_PORT)
-
-            def on_datagram(data, _size, _src_ip, _src_port) -> None:
-                tag, index = data
-                assert tag == "cg"
-                latencies.append(sim.now - sent_at[index])
-
-            mh_sock.on_receive(on_datagram)
-            ch_sock = scenario.ch.stack.udp_socket()
-
-            def send(index: int) -> None:
-                sent_at[index] = sim.now
-                ch_sock.sendto(("cg", index), size,
-                               scenario.mh.home_address, CONGESTION_PORT)
-
-            for index in range(datagrams):
-                sim.events.schedule(
-                    index * spacing, lambda i=index: send(i),
-                    label=f"congestion-{index}")
-            return None
-
+            mode=mode, seed=seed, datagrams=datagrams, spacing=spacing,
+            size=size, bandwidth=bandwidth, queue=queue, duration=duration,
+            observe=observe)
         runner = Runner()
-        result = runner.run(spec, driver=driver)
+        result = runner.run(spec)
         scenario = runner.scenario
         assert scenario is not None
         bottleneck = scenario.sim.segments[BOTTLENECK_SEGMENT]
-        peak_depth = 0
+        sent, ordered = _latencies(scenario)
         if result.obs is not None:
-            peak_depth = (result.obs["engine"]["summary"]
-                          .get("peak_queue_depth", {})
-                          .get(BOTTLENECK_SEGMENT, 0))
-        ordered = sorted(latencies)
+            report.obs.append(result.obs)
         report.cells.append(CongestionCell(
             mode=mode,
-            sent=len(sent_at),
-            received=len(latencies),
+            sent=sent,
+            received=len(ordered),
             latency_mean=(sum(ordered) / len(ordered)) if ordered else None,
             latency_p50=_percentile(ordered, 0.50) if ordered else None,
             latency_p99=_percentile(ordered, 0.99) if ordered else None,
             queue_dropped=bottleneck.queue_dropped,
-            peak_queue_depth=peak_depth,
+            peak_queue_depth=bottleneck.queue_peak,
             bottleneck_busy=bottleneck.busy_seconds,
             losses_by_reason=dict(
                 result.deliverability.get("losses_by_reason", {})),

@@ -41,10 +41,7 @@ def mega_spec(
     seed: int = 1996,
     duration: float = 30.0,
     datagrams: int = 40,
-    spacing: float = 0.25,
     target_index: int = DEFAULT_TARGET_INDEX,
-    lifetime: Optional[float] = None,
-    wheel_buckets: Optional[int] = None,
     observe: bool = False,
 ) -> ExperimentSpec:
     """The mega-world spec: a flyweight population plus the canonical
@@ -55,10 +52,6 @@ def mega_spec(
     population: Dict[str, Any] = {"hosts": hosts, "mode": mode}
     if domains is not None:
         population["domains"] = domains
-    if lifetime is not None:
-        population["lifetime"] = lifetime
-    if wheel_buckets is not None:
-        population["wheel_buckets"] = wheel_buckets
     traffic = None
     if datagrams > 0:
         traffic = TrafficProgram(
@@ -66,7 +59,7 @@ def mega_spec(
             target=f"mega-h{target_index}",
             uniform={
                 "datagrams": datagrams,
-                "spacing": spacing,
+                "spacing": 0.25,
                 "size": 100,
                 "direction": "both",
             },
@@ -163,10 +156,7 @@ def run_mega(
     seed: int = 1996,
     duration: float = 30.0,
     datagrams: int = 40,
-    spacing: float = 0.25,
     target_index: int = DEFAULT_TARGET_INDEX,
-    lifetime: Optional[float] = None,
-    wheel_buckets: Optional[int] = None,
     verify: bool = False,
     observe: bool = False,
     runner: Optional[Runner] = None,
@@ -181,9 +171,8 @@ def run_mega(
     runner = runner or Runner()
     spec = mega_spec(
         hosts=hosts, domains=domains, mode=mode, seed=seed,
-        duration=duration, datagrams=datagrams, spacing=spacing,
-        target_index=target_index, lifetime=lifetime,
-        wheel_buckets=wheel_buckets, observe=observe,
+        duration=duration, datagrams=datagrams,
+        target_index=target_index, observe=observe,
     )
     result = runner.run(spec)
     scenario = runner.scenario
@@ -208,9 +197,8 @@ def run_mega(
         twin_mode = "materialized" if mode == "pooled" else "pooled"
         twin_spec = mega_spec(
             hosts=hosts, domains=domains, mode=twin_mode, seed=seed,
-            duration=duration, datagrams=datagrams, spacing=spacing,
-            target_index=target_index, lifetime=lifetime,
-            wheel_buckets=wheel_buckets,
+            duration=duration, datagrams=datagrams,
+            target_index=target_index,
         )
         twin = Runner().run(twin_spec)
         report.verify_digest = twin.digest

@@ -383,7 +383,9 @@ def _cmd_congestion(args: argparse.Namespace) -> int:
         size=args.size,
         bandwidth=args.bandwidth,
         queue=args.queue,
+        observe=bool(args.obs_out),
     )
+    args._obs.extend(report.obs)
     print(report.render())
     if args.json_out:
         _write_json(args.json_out, report.to_dict(), "congestion report")
@@ -954,7 +956,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for obs in args._obs:
             # Entries are live Observability handles (scenario-building
             # subcommands) or already-collected plain dicts (sweep's
-            # merged counters, chaos's finished run report).
+            # merged counters, chaos's and congestion's run reports).
             if isinstance(obs, dict):
                 reports.append(obs)
             else:

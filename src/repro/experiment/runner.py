@@ -11,8 +11,8 @@ Every driver in the tree used to hand-roll this sequence around
    event-queue insertion order of the legacy call sites so trace
    digests are byte-identical to the code this replaced;
 3. **drives** the spec's traffic program (and an optional in-process
-   ``driver`` hook for workloads that need custom sockets — the chaos
-   conversation, the CLI's figure experiments);
+   ``driver`` hook for a workload a spec cannot yet describe — the
+   chaos TCP conversation is its one caller in the package);
 4. **collects** a :class:`RunResult`: trace digest, deliverability and
    overhead summaries, a full metrics-registry snapshot, and the
    invariant verdict.
@@ -42,9 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["RunResult", "Runner", "Driver"]
 
 # A driver installs custom workload machinery on the built, armed
-# scenario before the clock runs, and may return a collector invoked
-# after the run whose dict lands in RunResult.extras.
-Driver = Callable[[Scenario, ExperimentSpec], Optional[Callable[[], Dict[str, Any]]]]
+# scenario before the clock runs.
+Driver = Callable[[Scenario, ExperimentSpec], None]
 
 
 @dataclass
@@ -203,7 +202,8 @@ class Runner:
             injector.inject(plan)
         if spec.adversary:
             _schedule_adversary(scenario, spec)
-        collect_extras = driver(scenario, spec) if driver is not None else None
+        if driver is not None:
+            driver(scenario, spec)
 
         if spec.absolute:
             sim.run(until=spec.duration)
@@ -239,9 +239,8 @@ class Runner:
                 "violations": [v.to_dict() for v in monitor.violations],
                 "checks": dict(monitor.checks),
             })
-        extras = collect_extras() if collect_extras is not None else {}
+        extras: Dict[str, Any] = {}
         if flightrec is not None:
-            extras = dict(extras)
             info: Dict[str, Any] = {
                 "armed": True,
                 "limit": flightrec.limit,

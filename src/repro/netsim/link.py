@@ -248,6 +248,9 @@ class Segment:
         self.bytes_carried = 0
         self.frames_lost = 0
         self.queue_dropped = 0
+        # Transmit-queue high-water mark: the deepest the queue has
+        # been, exact (set at every enqueue, never lowered).
+        self.queue_peak = 0
         # Serialization occupancy, accumulated in *bits* so the counter
         # stays an integer (exact).  ``busy_seconds`` derives from it.
         # In the legacy (queue_capacity=None) model the sum can exceed
@@ -333,6 +336,8 @@ class Segment:
                 self._note_lost(frame, "queue-overflow")
                 return
             self._queue.append((sender, frame))
+            if len(self._queue) > self.queue_peak:
+                self.queue_peak = len(self._queue)
             return
         self._start_frame(sender, frame)
 

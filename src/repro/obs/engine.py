@@ -12,6 +12,9 @@ configurable cadence of *simulation* time and recording:
   interval over the link's bandwidth budget), transmit-queue depth,
   and queue-overflow drops.
 
+The summary's ``peak_queue_depth`` is not sampled: it reads each
+segment's exact transmit-queue high-water mark (``Segment.queue_peak``).
+
 Samples are plain dicts so they serialize straight into the ``obs``
 report.  The sampler caps itself at ``max_samples`` so an unbounded
 ``run()`` cannot be kept alive forever by its own instrumentation.
@@ -150,14 +153,10 @@ class EngineSampler:
         if not self.samples:
             return {"samples": 0}
         peak_links: Dict[str, float] = {}
-        peak_queues: Dict[str, int] = {}
         for sample in self.samples:
             for name, link in sample["links"].items():
                 if link["utilization"] > peak_links.get(name, 0.0):
                     peak_links[name] = link["utilization"]
-                depth = link.get("queue_depth", 0)
-                if depth > peak_queues.get(name, 0):
-                    peak_queues[name] = depth
         count = len(self.samples)
         out = {
             "samples": count,
@@ -172,8 +171,11 @@ class EngineSampler:
                 default=0,
             ),
             "peak_link_utilization": dict(sorted(peak_links.items())),
-            "peak_queue_depth": dict(sorted(
-                (k, v) for k, v in peak_queues.items() if v)),
+            "peak_queue_depth": {
+                name: segment.queue_peak
+                for name, segment in sorted(self.sim.segments.items())
+                if segment.queue_peak
+            },
         }
         last_population = next(
             (s["population"] for s in reversed(self.samples)

@@ -27,7 +27,6 @@ signals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..netsim.addressing import IPAddress
@@ -55,14 +54,6 @@ class TransportObserver:
 
     def on_receive(self, remote: IPAddress, retransmission: bool) -> None:  # pragma: no cover - interface
         pass
-
-
-@dataclass
-class _UdpBinding:
-    port: int
-    bound_ip: Optional[IPAddress]
-    callback: Callable[[Any, int, IPAddress, int], None]
-    # callback(data, data_size, src_ip, src_port)
 
 
 class UDPSocket:

@@ -56,7 +56,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..mobileip.binding import BindingTable
 from ..netsim.fragmentation import ReassemblyBuffer, fragment
-from ..netsim.packet import IPProto, Packet
+from ..netsim.packet import Packet
 from ..netsim.trace import TraceEntry, TraceLog
 
 __all__ = ["Violation", "InvariantMonitor", "INVARIANTS"]
@@ -106,21 +106,6 @@ def _tunnel_depth(packet: Packet) -> int:
             return depth
         depth += 1
         current = inner
-
-
-def _innermost(packet: Packet) -> Packet:
-    """The innermost nested packet (the packet itself when not nested)."""
-    current = packet
-    while True:
-        payload = getattr(current, "payload", None)
-        if isinstance(payload, Packet):
-            current = payload
-            continue
-        original = getattr(payload, "original", None)
-        if isinstance(original, Packet):
-            current = original
-            continue
-        return current
 
 
 def _first_inner(packet: Packet) -> Optional[Packet]:

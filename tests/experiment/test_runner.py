@@ -124,18 +124,22 @@ class TestCollection:
 
 
 class TestDriverHook:
-    def test_driver_runs_and_collects_extras(self):
+    def test_driver_runs_and_collects_extras(self, tmp_path):
         seen = {}
 
         def driver(scenario, spec):
             seen["mh"] = scenario.mh.name
             seen["seed"] = spec.seed
-            return lambda: {"note": "collected"}
 
-        result = Runner().run(canonical_traffic_spec(datagrams=5), driver)
+        runner = Runner(flightrec_path=str(tmp_path / "flightrec.json"))
+        result = runner.run(canonical_traffic_spec(datagrams=5), driver)
         assert seen["seed"] == 1401
         assert seen["mh"]  # driver saw the built scenario
-        assert result.extras == {"note": "collected"}
+        # The runner still collects its own extras around a driver; the
+        # driver adds none.
+        assert set(result.extras) == {"flightrec"}
+        assert result.extras["flightrec"]["armed"] is True
+        assert result.extras["flightrec"]["dumped"] is False
 
     def test_driver_without_collector(self):
         result = Runner().run(

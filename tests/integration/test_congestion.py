@@ -9,7 +9,12 @@ the correspondent learns the care-of binding.
 
 import pytest
 
-from repro.analysis.congestion import BOTTLENECK_SEGMENT, run_congestion
+from repro.analysis.congestion import (
+    BOTTLENECK_SEGMENT,
+    congestion_spec,
+    run_congestion,
+)
+from repro.experiment import ExperimentSpec, Runner
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +51,17 @@ class TestCongestionScenario:
         assert ranked[-1] == "In-IE"
 
     def test_peak_queue_depth_lands_on_the_bottleneck(self, report):
-        indirect = report.cell("In-IE")
-        assert indirect.peak_queue_depth > 0
-        assert indirect.bottleneck_busy > 0
+        # The exact high-water mark: every cell's train fills the
+        # bottleneck queue before the binding (if any) is learned.
+        for cell in report.cells:
+            assert cell.peak_queue_depth == 8
+            assert cell.bottleneck_busy > 0
+
+    @pytest.mark.parametrize("mode", ["In-IE", "In-DE", "In-DH"])
+    def test_cell_spec_replays_alone(self, report, mode):
+        spec = congestion_spec(mode, seed=1402, datagrams=200)
+        result = Runner().run(ExperimentSpec.from_json(spec.to_json()))
+        assert result.digest == report.cell(mode).digest
 
     def test_report_renders(self, report):
         table = report.render()

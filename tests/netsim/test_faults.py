@@ -225,7 +225,7 @@ class TestFaultInjector:
 
     def test_same_plan_same_seed_identical_traces(self):
         from repro.bench.golden import trace_digest
-        from repro.netsim import IPAddress, Internet, Node
+        from repro.netsim import Internet, Node
         from repro.netsim.packet import IPProto
         from repro.transport.sockets import TransportStack
 

@@ -147,6 +147,10 @@ class TestBusyLine:
         w.sim.run(until=10)
         assert [tag for _t, tag in w.received] == [0, 1]
         assert w.sim.trace.losses_by_reason["queue-overflow"] == 2
+        # The high-water mark keeps the burst's depth through the
+        # shrink and the drain.
+        assert w.segment.queue_depth == 0
+        assert w.segment.queue_peak == 3
 
     def test_set_queue_capacity_validates(self):
         w = Wire(queue_capacity=2)

@@ -254,6 +254,22 @@ class TestCongestionSubcommand:
         assert path.read_text().endswith("}\n")
         assert json.loads(path.read_text())["cells"]
 
+    def test_congestion_obs_out_writes_one_run_per_cell(self, tmp_path,
+                                                        capsys):
+        import json
+
+        obs_path = tmp_path / "obs.json"
+        json_path = tmp_path / "congestion.json"
+        assert main(["--obs-out", str(obs_path), "congestion",
+                     "--datagrams", "60", "--json-out", str(json_path)]) == 0
+        runs = json.loads(obs_path.read_text())["runs"]
+        assert len(runs) == 3
+        for run in runs:
+            peaks = run["engine"]["summary"]["peak_queue_depth"]
+            assert peaks == {"uplink-home": 8}
+        # The observability reports stay out of the congestion report.
+        assert "obs" not in json.loads(json_path.read_text())
+
 
 class TestMegaSubcommand:
     def test_mega_json_out(self, tmp_path, capsys):
