@@ -30,11 +30,13 @@ Subcommands:
   replays a single spec, including one embedded in a fuzz repro.
   ``--progress`` streams per-cell completion to stderr and
   ``--ledger run.jsonl`` appends one durable JSONL record per cell.
-  Parallel runs are supervised: ``--cell-timeout``/``--max-retries``
-  bound misbehaving cells (quarantined as ``failed`` results unless
-  ``--strict-cells``), ``--checkpoint``/``--resume`` journal and skip
-  completed cells across crashes, and Ctrl-C drains gracefully
-  (partial results written, exit 130).
+  At any ``--jobs``, ``--max-retries``/``--retry-backoff`` retry a
+  failing cell and then quarantine it as a ``failed`` result (unless
+  ``--strict-cells``); ``--cell-timeout`` also bounds each cell when
+  workers run it.  ``--checkpoint``/``--resume`` journal and skip
+  completed cells across crashes (and refuse a file that is not a
+  checkpoint), and Ctrl-C drains gracefully (partial results
+  written, exit 130).
 * ``report``      — render a run ledger as markdown or JSON:
   phase-time breakdown, slowest cells, cache efficacy, violation index.
 * ``mega``        — build a flyweight million-host world (see
@@ -324,6 +326,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from .analysis.chaos import demo_plan, run_chaos
     from .netsim.faults import FaultError, FaultPlan
 
+    if not args.interval > 0:
+        print(f"error: --interval must be > 0, got {args.interval}",
+              file=sys.stderr)
+        return 1
     if args.fault_script:
         try:
             plan = FaultPlan.from_file(args.fault_script)
@@ -437,18 +443,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     from .obs.ledger import RunLedger
 
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}",
-              file=sys.stderr)
-        return 1
-    if args.max_retries < 0:
-        print(f"error: --max-retries must be >= 0, got {args.max_retries}",
-              file=sys.stderr)
-        return 1
-    if args.spec and args.grid:
-        print("error: --spec and --grid are mutually exclusive",
-              file=sys.stderr)
-        return 1
+    for ok, problem in (
+        (args.jobs >= 1, f"--jobs must be >= 1, got {args.jobs}"),
+        (args.max_retries >= 0,
+         f"--max-retries must be >= 0, got {args.max_retries}"),
+        (args.cell_timeout is None or args.cell_timeout > 0,
+         f"--cell-timeout must be > 0, got {args.cell_timeout}"),
+        (args.retry_backoff >= 0,
+         f"--retry-backoff must be >= 0, got {args.retry_backoff}"),
+        (not (args.spec and args.grid),
+         "--spec and --grid are mutually exclusive"),
+    ):
+        if not ok:
+            print(f"error: {problem}", file=sys.stderr)
+            return 1
     try:
         if args.spec:
             specs = [ExperimentSpec.from_file(args.spec)]
@@ -467,9 +475,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.no_cache:
         cache = ResultCache(root=args.cache_dir)
     ledger = RunLedger(args.ledger) if args.ledger else None
+    # Both files are read before any cell runs: load() refuses a file
+    # that is not a checkpoint, so a sweep never journals into it.
     resume_map = None
+    try:
+        if args.checkpoint:
+            SweepCheckpoint.load(args.checkpoint)
+        if args.resume:
+            resume_map, torn = SweepCheckpoint.load(args.resume)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.resume:
-        resume_map, torn = SweepCheckpoint.load(args.resume)
         if resume_map or torn:
             print(f"resuming: {len(resume_map)} checkpointed cell(s) "
                   f"loaded from {args.resume}"
@@ -495,7 +512,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             strict_cells=args.strict_cells,
             checkpoint=checkpoint,
             resume=resume_map,
-            grace=args.grace,
         )
         result = executor.run(specs)
     except CellFailedError as exc:
@@ -837,14 +853,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "sweep instead of retrying and quarantining")
     sweep.add_argument("--checkpoint", metavar="PATH", default=None,
                        help="journal completed cells to this JSONL file "
-                            "(atomic appends; survives SIGKILL)")
+                            "(atomic appends; survives SIGKILL; a file "
+                            "that is not a checkpoint is refused)")
     sweep.add_argument("--resume", metavar="PATH", default=None,
                        help="skip cells already completed in this "
                             "checkpoint file, and keep journaling to it "
                             "(unless --checkpoint names another)")
-    sweep.add_argument("--grace", type=float, default=5.0, metavar="SEC",
-                       help="seconds in-flight cells get to finish when "
-                            "SIGINT/SIGTERM drains the sweep (default 5)")
     sweep.set_defaults(func=_cmd_sweep)
 
     fuzz = sub.add_parser(

@@ -352,45 +352,12 @@ def _schedule_traffic(scenario: Scenario, spec: ExperimentSpec) -> None:
 
 def _schedule_adversary(scenario: Scenario, spec: ExperimentSpec) -> None:
     """Schedule the spec's adversary events (attacker on the visited LAN)."""
-    from ..mobileip.registration import RegistrationRequest, compute_authenticator
     from ..verify.adversary import Adversary
 
-    sim = scenario.sim
-    adversary = Adversary("adv", sim)
+    adversary = Adversary("adv", scenario.sim)
     scenario.net.add_host("visited", adversary)
-    ha_ip = scenario.ha_ip
-    mh = scenario.mh
-    auth_key = spec.auth_key
-
-    def attack(kind: str) -> None:
-        if kind == "spoof":
-            adversary.spoof_registration(ha_ip, mh.home_address)
-        elif kind == "replay":
-            # A request sniffed off the wire earlier: valid
-            # authenticator (the attacker has the ciphertext, not the
-            # key), stale ident.
-            care_of = mh.care_of if mh.care_of is not None else mh.home_address
-            lifetime = mh.reg_lifetime
-            auth = (
-                compute_authenticator(
-                    auth_key, mh.home_address, care_of, lifetime, 1)
-                if auth_key else None
-            )
-            adversary.capture(RegistrationRequest(
-                home_address=mh.home_address,
-                care_of_address=care_of,
-                lifetime=lifetime,
-                ident=1,
-                auth=auth,
-            ))
-            adversary.replay_captured(ha_ip)
-        elif kind == "bogus":
-            adversary.send_bogus_tunnel(mh.care_of or mh.home_address)
-        elif kind == "truncated":
-            adversary.send_truncated_tunnel(ha_ip)
-
     for index, event in enumerate(spec.adversary):
-        sim.events.schedule(
-            event["at"], lambda k=event["kind"]: attack(k),
-            label=f"adversary-{index}",
+        scenario.sim.events.schedule(
+            event["at"], adversary.attack, event["kind"], scenario.ha_ip,
+            scenario.mh, spec.auth_key, label=f"adversary-{index}",
         )

@@ -27,6 +27,10 @@ policy:
   (``max_retries=0`` + raising on the first ``failed`` event) restores
   fail-fast.
 
+Retries and quarantine are one ladder, :meth:`_Task.fail`, shared with
+the executor's inline ``jobs=1`` path; only the timeout and the crash
+need a worker.
+
 Every worker has its own task and result pipes (single writer each),
 so SIGKILLing one can never corrupt a lock another worker needs — the
 shared-``Queue`` hazard that makes pools unkillable.
@@ -83,6 +87,9 @@ _HANG_SECONDS = 3600.0
 #: Longest the supervision loop waits on worker pipes before it
 #: re-checks timeouts, retry backoffs and a requested drain.
 _TICK = 0.05
+#: Seconds in-flight cells get to finish once SIGINT/SIGTERM starts a
+#: drain; stragglers are then killed.
+_DRAIN_GRACE = 5.0
 
 
 class InjectedFault(RuntimeError):
@@ -194,21 +201,30 @@ class SweepCheckpoint(JsonlAppender):
     def load(path: str) -> Any:
         """``(completed, torn)``: digest → result payload, last wins.
 
-        A missing file is an empty checkpoint (a sweep that never got
-        far enough to journal), torn/foreign lines are skipped and
-        counted — the ledger's reader, :func:`~repro.obs.ledger.read_jsonl`.
+        A missing or empty file is an empty checkpoint (a sweep that
+        never got far enough to journal), and so is one unparseable
+        line (a sweep killed during its first append).  Torn and
+        foreign lines are skipped and counted — the ledger's reader,
+        :func:`~repro.obs.ledger.read_jsonl`.  Any other file with no
+        checkpoint record raises ``ValueError``, so a sweep never
+        journals into a grid, report or ledger it was pointed at.
         """
         completed: Dict[str, Dict[str, Any]] = {}
         records, torn = read_jsonl(path)
+        foreign = 0
         for record in records:
             if (not isinstance(record, dict)
                     or record.get("schema") != CHECKPOINT_SCHEMA
                     or not isinstance(record.get("spec_sha256"), str)
                     or not isinstance(record.get("result"), dict)):
-                torn += 1
+                foreign += 1
                 continue
             completed[record["spec_sha256"]] = record["result"]
-        return completed, torn
+        if not completed and (foreign or torn > 1):
+            raise ValueError(
+                f"{path} holds no sweep checkpoint record; refusing to "
+                "resume from it or journal into it")
+        return completed, torn + foreign
 
 
 # ----------------------------------------------------------------------
@@ -240,10 +256,9 @@ def _worker_main(inbox: Any, outbox: Any) -> None:
             "dispatch_id": task["dispatch_id"],
         }
         try:
-            maybe_inject_fault(task.get("label") or "", task["attempt"])
-            data = _execute_payload(task["payload"])
+            message["result"] = _execute_payload(task["payload"],
+                                                 task["attempt"])
             message["kind"] = "result"
-            message["result"] = data["result"]
         except BaseException as exc:  # noqa: BLE001 - reported as data
             message["kind"] = "error"
             message["error"] = describe_exception(exc)
@@ -255,14 +270,40 @@ def _worker_main(inbox: Any, outbox: Any) -> None:
 
 @dataclass
 class _Task:
-    """One cell's dispatch state inside the supervisor."""
+    """One cell's attempts, in a worker or inline: the sweep's retry policy."""
 
-    index: int
     payload: Dict[str, Any]
-    label: str
     attempt: int = 0
     not_before: float = 0.0
     failures: List[Dict[str, Any]] = field(default_factory=list)
+
+    @property
+    def index(self) -> int:
+        return self.payload["index"]
+
+    @property
+    def label(self) -> str:
+        return self.payload["spec"].get("label") or ""
+
+    def fail(self, reason: str, detail: Dict[str, Any], max_retries: int,
+             retry_backoff: float) -> Dict[str, Any]:
+        """Record a failed attempt and return its event: ``failed`` once
+        ``max_retries`` retries are spent, else ``retry``, with
+        :attr:`not_before` set ``retry_backoff * 2**(attempt-1)``
+        seconds out."""
+        self.failures.append({"reason": reason, "attempt": self.attempt,
+                              "detail": detail})
+        if self.attempt >= max_retries:
+            failure = {"reason": reason, "attempts": self.attempt + 1,
+                       "message": detail["message"] or reason,
+                       "history": list(self.failures)}
+            return {"kind": "failed", "index": self.index,
+                    "label": self.label, "failure": failure}
+        self.attempt += 1
+        delay = retry_backoff * (2 ** (self.attempt - 1))
+        self.not_before = time.monotonic() + delay
+        return {"kind": "retry", "index": self.index, "label": self.label,
+                "reason": reason, "attempt": self.attempt, "delay": delay}
 
 
 class _Worker:
@@ -322,9 +363,9 @@ class WorkerSupervisor:
 
     :meth:`request_stop` (async-signal-safe: it only sets a flag)
     starts a graceful drain: no new dispatch, in-flight cells get
-    ``grace`` seconds to finish, stragglers are killed.  Cells that
-    never ran are silently skipped — they are *interrupted*, not
-    failed, and a resumed sweep runs them.
+    :data:`_DRAIN_GRACE` seconds to finish, stragglers are killed.
+    Cells that never ran are silently skipped — they are
+    *interrupted*, not failed, and a resumed sweep runs them.
     """
 
     def __init__(
@@ -333,7 +374,6 @@ class WorkerSupervisor:
         cell_timeout: Optional[float] = None,
         max_retries: int = 2,
         retry_backoff: float = 0.5,
-        grace: float = 5.0,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -343,11 +383,6 @@ class WorkerSupervisor:
         self.cell_timeout = cell_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
-        self.grace = grace
-        # Accounting, readable after run() finishes.
-        self.retries = 0
-        self.respawns = 0
-        self.skipped = 0
         self.stopped = False
         self._stop_requested = False
         self._workers: Dict[int, _Worker] = {}
@@ -370,18 +405,13 @@ class WorkerSupervisor:
         self._workers[worker.id] = worker
         return worker
 
-    def _discard(self, worker: _Worker, kill: bool = False) -> None:
-        if kill:
-            worker.kill()
-        else:
-            worker.close()
-            worker.proc.join()
+    def _discard(self, worker: _Worker) -> None:
+        worker.kill()
         self._workers.pop(worker.id, None)
 
     def _replenish(self) -> None:
         want = min(self.jobs, self._outstanding)
         while len(self._workers) < want:
-            self.respawns += 1
             self._spawn()
 
     # -- failure policy ------------------------------------------------
@@ -392,45 +422,17 @@ class WorkerSupervisor:
         detail: Dict[str, Any],
         events: List[Dict[str, Any]],
     ) -> None:
-        task.failures.append({"reason": reason, "attempt": task.attempt,
-                              "detail": detail})
-        message = detail.get("message") or {
-            "timeout": f"cell exceeded {self.cell_timeout}s wall clock",
-            "crash": f"worker died (exitcode {detail.get('exitcode')})",
-        }.get(reason, reason)
         if self.stopped and task.attempt < self.max_retries:
             # Draining: a retry would never be dispatched.  The cell is
             # interrupted, not quarantined — a resume runs it afresh.
             self._outstanding -= 1
-            self.skipped += 1
             return
-        if task.attempt >= self.max_retries:
+        event = task.fail(reason, detail, self.max_retries, self.retry_backoff)
+        if event["kind"] == "retry":
+            self._waiting.append(task)
+        else:
             self._outstanding -= 1
-            events.append({
-                "kind": "failed",
-                "index": task.index,
-                "label": task.label,
-                "failure": {
-                    "reason": reason,
-                    "attempts": task.attempt + 1,
-                    "message": message,
-                    "history": list(task.failures),
-                },
-            })
-            return
-        task.attempt += 1
-        delay = self.retry_backoff * (2 ** (task.attempt - 1))
-        task.not_before = time.monotonic() + delay
-        self._waiting.append(task)
-        self.retries += 1
-        events.append({
-            "kind": "retry",
-            "index": task.index,
-            "label": task.label,
-            "reason": reason,
-            "attempt": task.attempt,
-            "delay": delay,
-        })
+        events.append(event)
 
     # -- dispatch / collect --------------------------------------------
     def _dispatch(self, worker: _Worker, task: _Task) -> None:
@@ -441,14 +443,13 @@ class WorkerSupervisor:
                 "index": task.index,
                 "dispatch_id": worker.dispatch_id,
                 "attempt": task.attempt,
-                "label": task.label,
                 "payload": task.payload,
             })
         except (BrokenPipeError, OSError):
             # The worker died before taking the cell: the cell never
             # ran, so it goes back untouched; the worker is replaced.
             self._ready.appendleft(task)
-            self._discard(worker, kill=True)
+            self._discard(worker)
             self._replenish()
             return
         worker.task = task
@@ -516,7 +517,7 @@ class WorkerSupervisor:
             if task is None:
                 continue
             worker.task = None
-            self._discard(worker, kill=True)
+            self._discard(worker)
             self._fail(task, "timeout", {
                 "timeout_sec": self.cell_timeout,
                 "message": (f"cell exceeded {self.cell_timeout}s wall "
@@ -529,29 +530,18 @@ class WorkerSupervisor:
         self, payloads: Sequence[Dict[str, Any]]
     ) -> Iterator[Dict[str, Any]]:
         self._ctx = multiprocessing.get_context("spawn")
-        self._ready = deque(
-            _Task(
-                index=payload["index"],
-                payload=payload,
-                label=(payload.get("spec") or {}).get("label") or "",
-            )
-            for payload in payloads
-        )
+        self._ready = deque(_Task(payload) for payload in payloads)
         self._waiting = []
         self._outstanding = len(self._ready)
         drain_deadline: Optional[float] = None
         try:
-            for _ in range(min(self.jobs, self._outstanding)):
-                self._spawn()
             while self._outstanding > 0:
                 events: List[Dict[str, Any]] = []
                 now = time.monotonic()
                 if self._stop_requested and not self.stopped:
                     self.stopped = True
-                    drain_deadline = now + self.grace
-                    abandoned = len(self._ready) + len(self._waiting)
-                    self._outstanding -= abandoned
-                    self.skipped += abandoned
+                    drain_deadline = now + _DRAIN_GRACE
+                    self._outstanding -= len(self._ready) + len(self._waiting)
                     self._ready.clear()
                     self._waiting = []
                 if self.stopped:
@@ -562,9 +552,8 @@ class WorkerSupervisor:
                     if drain_deadline is not None and now >= drain_deadline:
                         for worker in in_flight:
                             self._outstanding -= 1
-                            self.skipped += 1
                             worker.task = None
-                            self._discard(worker, kill=True)
+                            self._discard(worker)
                         break
                 else:
                     if self._waiting:

@@ -5,9 +5,8 @@ depends on network permissiveness, correspondent awareness, and what
 you optimize — a cross-product of knobs.  :class:`SpecGrid` expands a
 base :class:`~repro.experiment.spec.ExperimentSpec` against named axes
 into a deterministic, ordered list of specs, and :class:`SweepExecutor`
-runs them — inline for ``jobs=1``, or across a spawn-safe
-``multiprocessing`` pool for ``jobs>1``, merging results back in spec
-order.
+runs them — inline for ``jobs=1``, or across spawn-safe supervised
+worker processes for ``jobs>1``, merging results back in spec order.
 
 Determinism is the contract: every run builds its own seeded
 :class:`~repro.netsim.simulator.Simulator`, no state crosses runs
@@ -19,12 +18,13 @@ results must be plain data.
 
 Fault tolerance is supervised, not hoped for: ``jobs>1`` runs cells
 through :class:`~repro.experiment.supervise.WorkerSupervisor`
-(per-cell wall-clock timeouts, crash requeue + worker respawn, bounded
-retries with backoff, poison-cell quarantine), completed cells can be
-journaled to a :class:`~repro.experiment.supervise.SweepCheckpoint`
-and skipped on ``--resume``, and SIGINT/SIGTERM drain gracefully
-instead of tracebacking — the interrupted sweep still merges, records,
-and reports everything that finished.
+(per-cell wall-clock timeouts, crash requeue + worker respawn), both
+paths retry with backoff and quarantine poison cells under one ladder,
+completed cells can be journaled to a
+:class:`~repro.experiment.supervise.SweepCheckpoint` and skipped on
+``--resume``, and SIGINT/SIGTERM drain gracefully instead of
+tracebacking — the interrupted sweep still merges, records, and
+reports everything that finished.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..obs.ledger import (
     RunLedger,
@@ -51,6 +51,7 @@ from .supervise import (
     CellFailedError,
     SweepCheckpoint,
     WorkerSupervisor,
+    _Task,
     describe_exception,
     maybe_inject_fault,
 )
@@ -161,8 +162,8 @@ class SweepResult:
     # True when the sweep drained early on SIGINT/SIGTERM: results
     # hold only the cells that completed before the stop.
     interrupted: bool = False
-    # Cell re-dispatches the supervisor performed (timeouts, crashes,
-    # worker exceptions that later succeeded or quarantined).
+    # Cell retries (exceptions, and in workers timeouts and crashes),
+    # whether the cell later succeeded or was quarantined.
     retries: int = 0
 
     @property
@@ -269,17 +270,18 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: indexed spec payload in, indexed result out.
+def _execute_payload(payload: Dict[str, Any], attempt: int) -> Dict[str, Any]:
+    """One attempt at one cell, in a worker or inline: spec payload in,
+    result dict out, after any :data:`~repro.experiment.supervise.FAULT_ENV`
+    directive for the cell has fired.
 
     Module-level so it pickles by reference under the ``spawn`` start
-    method (workers re-import :mod:`repro.experiment.sweep`).  The
-    index rides along because results now stream back in *completion*
-    order; the parent re-slots them into spec order.
+    method (workers re-import :mod:`repro.experiment.sweep`).
     """
     spec = ExperimentSpec.from_dict(payload["spec"])
+    maybe_inject_fault(spec.label or "", attempt)
     runner = Runner(flightrec_path=payload.get("flightrec_path"))
-    return {"index": payload["index"], "result": runner.run(spec).to_dict()}
+    return runner.run(spec).to_dict()
 
 
 def failed_result(spec: ExperimentSpec, failure: Dict[str, Any]) -> RunResult:
@@ -310,29 +312,30 @@ class SweepExecutor:
     """Run a list of specs, optionally across supervised workers.
 
     ``jobs=1`` executes inline (no multiprocessing at all — the
-    debugging and determinism baseline; worker exceptions still get
-    retries and quarantine, but timeouts need real workers).
-    ``jobs>1`` runs cells through a
-    :class:`~repro.experiment.supervise.WorkerSupervisor`: explicit
-    ``spawn``-context workers pulling one cell at a time (spawn is the
-    only start method that is safe everywhere — fork duplicates
-    arbitrary parent state; the simulator holds nothing process-global
-    that matters, but spawn proves it), exchanging only JSON-clean
-    dicts.  Results always come back in spec order regardless of
-    completion order.
+    debugging and determinism baseline).  ``jobs>1`` runs cells
+    through a :class:`~repro.experiment.supervise.WorkerSupervisor`:
+    explicit ``spawn``-context workers pulling one cell at a time
+    (spawn is the only start method that is safe everywhere — fork
+    duplicates arbitrary parent state; the simulator holds nothing
+    process-global that matters, but spawn proves it), exchanging only
+    JSON-clean dicts.  Both paths retry and quarantine a cell under
+    the same ladder and emit the same ``result``/``retry``/``failed``
+    events, which :meth:`run` consumes in one loop; only timeouts and
+    crashes need real workers.  Results always come back in spec order
+    regardless of completion order.
 
     Fault-tolerance knobs:
 
     * ``cell_timeout`` — wall-clock seconds per cell; an overrunning
-      cell's worker is SIGKILLed and the cell retried.
+      cell's worker is SIGKILLed and the cell retried (workers only).
     * ``max_retries`` / ``retry_backoff`` — every cell failure
       (exception, crash, timeout) requeues the cell with exponential
       backoff until retries are spent; then the cell is quarantined as
       a ``failed`` :class:`RunResult` (see :func:`failed_result`) and
       the sweep continues.
-    * ``strict_cells`` — restore fail-fast: the first cell failure
-      raises :class:`~repro.experiment.supervise.CellFailedError`
-      (no retries, no quarantine).
+    * ``strict_cells`` — restore fail-fast: ``max_retries=0``, and the
+      first ``failed`` event raises
+      :class:`~repro.experiment.supervise.CellFailedError`.
     * ``checkpoint`` — a
       :class:`~repro.experiment.supervise.SweepCheckpoint`; every
       completed (non-failed) cell is journaled as it lands, so a
@@ -342,9 +345,9 @@ class SweepExecutor:
       provenance ``"checkpoint"`` instead of re-running.  Composes
       with (but does not depend on) the salted result cache.
     * SIGINT/SIGTERM during :meth:`run` drain gracefully: dispatch
-      stops, in-flight cells get ``grace`` seconds, and the partial
-      sweep returns with ``interrupted=True`` (the CLI maps that to
-      exit 130).
+      stops, in-flight cells get a few seconds to finish, and the
+      partial sweep returns with ``interrupted=True`` (the CLI maps
+      that to exit 130).
 
     Telemetry hooks (all optional, all parent-side):
 
@@ -379,7 +382,6 @@ class SweepExecutor:
         strict_cells: bool = False,
         checkpoint: Optional[SweepCheckpoint] = None,
         resume: Optional[Dict[str, Dict[str, Any]]] = None,
-        grace: float = 5.0,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -396,7 +398,6 @@ class SweepExecutor:
         self.strict_cells = strict_cells
         self.checkpoint = checkpoint
         self.resume = resume
-        self.grace = grace
         self._stop_requested = False
 
     def _cell_flightrec_path(self, index: int, total: int) -> Optional[str]:
@@ -518,54 +519,34 @@ class SweepExecutor:
                 for index in pending
             ]
 
-            def absorb(index: int, result_data: Dict[str, Any],
-                       attempts: int) -> None:
-                result = RunResult.from_dict(result_data)
-                if cache is not None:
-                    cache.store(specs[index], result)
-                finish_cell(index, result, "run", attempts=attempts)
-
-            def absorb_failure(index: int, failure: Dict[str, Any]) -> None:
-                if self.strict_cells:
-                    raise CellFailedError(specs[index].label, failure)
-                finish_cell(
-                    index, failed_result(specs[index], failure), "run",
-                    attempts=failure.get("attempts"))
-
-            if not payloads:
-                pass
-            elif self.jobs == 1 or len(payloads) <= 1:
-                for payload in payloads:
-                    if self._stop_requested:
-                        break
-                    outcome = self._run_inline(
-                        payload, specs[payload["index"]])
-                    if outcome is None:
-                        break  # interrupted mid-retry-backoff
-                    retries_total += outcome.get("retries", 0)
-                    if "result" in outcome:
-                        absorb(payload["index"], outcome["result"],
-                               outcome["attempts"])
-                    else:
-                        absorb_failure(payload["index"], outcome["failure"])
-            else:
+            max_retries = 0 if self.strict_cells else self.max_retries
+            if self.jobs > 1 and len(payloads) > 1:
                 supervisor = WorkerSupervisor(
                     jobs=self.jobs,
                     cell_timeout=self.cell_timeout,
-                    max_retries=0 if self.strict_cells else self.max_retries,
+                    max_retries=max_retries,
                     retry_backoff=self.retry_backoff,
-                    grace=self.grace,
                 )
                 if self._stop_requested:
                     supervisor.request_stop()
-                for event in supervisor.run(payloads):
-                    if event["kind"] == "result":
-                        absorb(event["index"], event["result"],
-                               event["attempts"])
-                    elif event["kind"] == "failed":
-                        absorb_failure(event["index"], event["failure"])
-                    elif event["kind"] == "retry":
-                        retries_total += 1
+            # One event stream, whichever path runs the cells.
+            for event in (supervisor.run(payloads) if supervisor is not None
+                          else self._run_inline(payloads, max_retries)):
+                index = event["index"]
+                if event["kind"] == "result":
+                    result = RunResult.from_dict(event["result"])
+                    if cache is not None:
+                        cache.store(specs[index], result)
+                    finish_cell(index, result, "run",
+                                attempts=event["attempts"])
+                elif event["kind"] == "failed":
+                    failure = event["failure"]
+                    if self.strict_cells:
+                        raise CellFailedError(specs[index].label, failure)
+                    finish_cell(index, failed_result(specs[index], failure),
+                                "run", attempts=failure["attempts"])
+                else:
+                    retries_total += 1
         finally:
             for signum, previous in installed:
                 signal.signal(signum, previous)
@@ -601,49 +582,35 @@ class SweepExecutor:
         return result
 
     def _run_inline(
-        self, payload: Dict[str, Any], spec: ExperimentSpec
-    ) -> Optional[Dict[str, Any]]:
-        """One cell inline, with the supervisor's retry/quarantine policy.
+        self, payloads: List[Dict[str, Any]], max_retries: int
+    ) -> Iterator[Dict[str, Any]]:
+        """Run each cell in-process under a ``_Task``, yielding the
+        supervisor's ``result``/``retry``/``failed`` events.
 
         Timeouts need a killable worker, so ``cell_timeout`` does not
-        apply inline; exceptions (including injected poison faults) are
-        retried with the same backoff schedule and quarantined the same
-        way.  Returns ``None`` when a stop request lands mid-backoff.
+        apply inline.  A stop request ends the stream before the next
+        attempt, also one that lands mid-backoff.
         """
-        attempt = 0
-        retries = 0
-        failures: List[Dict[str, Any]] = []
-        while True:
-            try:
-                maybe_inject_fault(spec.label or "", attempt)
-                data = _execute_payload(payload)
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:  # noqa: BLE001 - the failure policy
-                detail = describe_exception(exc)
-                failures.append({"reason": "exception", "attempt": attempt,
-                                 "detail": detail})
-                failure = {
-                    "reason": "exception",
-                    "attempts": attempt + 1,
-                    "message": detail["message"],
-                    "history": list(failures),
-                }
-                if self.strict_cells:
-                    raise CellFailedError(spec.label, failure) from exc
-                if attempt >= self.max_retries:
-                    return {"failure": failure, "retries": retries}
-                attempt += 1
-                retries += 1
-                deadline = time.monotonic() + (
-                    self.retry_backoff * (2 ** (attempt - 1)))
-                while time.monotonic() < deadline:
-                    if self._stop_requested:
-                        return None
-                    time.sleep(0.02)
-            else:
-                return {"result": data["result"], "attempts": attempt + 1,
-                        "retries": retries}
+        for payload in payloads:
+            task = _Task(payload)
+            while True:
+                if self._stop_requested:
+                    return
+                try:
+                    result = _execute_payload(payload, task.attempt)
+                except Exception as exc:  # noqa: BLE001 - the failure policy
+                    event = task.fail("exception", describe_exception(exc),
+                                      max_retries, self.retry_backoff)
+                    yield event
+                    if event["kind"] == "failed":
+                        break
+                    while (time.monotonic() < task.not_before
+                           and not self._stop_requested):
+                        time.sleep(0.02)
+                else:
+                    yield {"kind": "result", "index": task.index,
+                           "result": result, "attempts": task.attempt + 1}
+                    break
 
 
 def demo_grid(

@@ -220,15 +220,17 @@ class EventQueue:
     def run(self, until: Optional[float] = None, max_events: int = 1_000_000) -> float:
         """Drain the queue, optionally stopping at time ``until``.
 
-        Returns the clock value when processing stopped.  ``max_events``
-        guards against runaway feedback loops in misconfigured
-        topologies (e.g. routing loops with no TTL).
+        Returns the clock value when processing stopped.  With ``until``
+        the clock ends at ``until`` even if the queue empties earlier;
+        without it the queue is drained and the clock stays at the last
+        event.  ``max_events`` guards against runaway feedback loops in
+        misconfigured topologies (e.g. routing loops with no TTL).
 
-        The body is the hottest loop in the simulator: two specialized
-        loops (with and without a horizon) pop first and push back the
-        at-most-one over-horizon event rather than peeking every
-        iteration, advance the clock inline instead of through
-        ``SimClock._advance``, and batch the ``processed``/live
+        The body is the hottest loop in the simulator: one loop (no
+        ``until`` is an infinite horizon) pops first and pushes back
+        the at-most-one over-horizon event rather than peeking every
+        iteration, advances the clock inline instead of through
+        ``SimClock._advance``, and batches the ``processed``/live
         counter updates into a ``finally`` (so mid-run actions that
         cancel timers still interleave correctly, but code polling
         ``pending``/``processed`` *from inside an action* sees values
@@ -237,52 +239,34 @@ class EventQueue:
         heap = self._heap
         clock = self.clock
         pop = _heappop
+        horizon = float("inf") if until is None else until
         processed = 0
         live_popped = 0
         try:
-            if until is None:
-                while processed < max_events:
-                    if not heap:
-                        return clock._now
-                    time, _seq, event = pop(heap)
-                    if event.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    live_popped += 1
-                    if time < clock._now:
-                        raise RuntimeError(
-                            f"time went backwards: {time} < {clock._now}"
-                        )
-                    clock._now = time
-                    event.done = True
-                    event.action(*event.args)
-                    processed += 1
-            else:
-                while processed < max_events:
-                    if not heap:
-                        if until > clock._now:
-                            clock._now = until
-                        return clock._now
-                    entry = pop(heap)
-                    event = entry[2]
-                    if event.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    time = entry[0]
-                    if time > until:
-                        _heappush(heap, entry)
-                        if until > clock._now:
-                            clock._now = until
-                        return clock._now
-                    live_popped += 1
-                    if time < clock._now:
-                        raise RuntimeError(
-                            f"time went backwards: {time} < {clock._now}"
-                        )
-                    clock._now = time
-                    event.done = True
-                    event.action(*event.args)
-                    processed += 1
+            while processed < max_events:
+                if not heap:
+                    if until is not None and until > clock._now:
+                        clock._now = until
+                    return clock._now
+                entry = pop(heap)
+                event = entry[2]
+                if event.cancelled:
+                    self._cancelled -= 1
+                    continue
+                time = entry[0]
+                if time > horizon:
+                    _heappush(heap, entry)
+                    if horizon > clock._now:
+                        clock._now = horizon
+                    return clock._now
+                live_popped += 1
+                if time < clock._now:
+                    raise RuntimeError(
+                        f"time went backwards: {time} < {clock._now}")
+                clock._now = time
+                event.done = True
+                event.action(*event.args)
+                processed += 1
             raise RuntimeError(f"event budget exhausted ({max_events} events)")
         finally:
             self.processed += processed

@@ -24,12 +24,13 @@ invariant monitor and the trace observe the whole exchange.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from ..mobileip.registration import (
     MOBILE_IP_PORT,
     RegistrationReply,
     RegistrationRequest,
+    compute_authenticator,
 )
 from ..netsim.addressing import IPAddress
 from ..netsim.node import Node
@@ -37,6 +38,7 @@ from ..netsim.packet import IPProto, Packet
 from ..transport.sockets import TransportStack
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..mobileip.mobile_host import MobileHost
     from ..netsim.simulator import Simulator
 
 __all__ = ["Adversary"]
@@ -149,33 +151,39 @@ class Adversary(Node):
         return packet
 
     # ------------------------------------------------------------------
+    # The attack vocabulary (``ADVERSARY_KINDS`` in experiment specs)
+    # ------------------------------------------------------------------
+    def attack(self, kind: str, home_agent: IPAddress, victim: "MobileHost",
+               auth_key: Optional[str] = None) -> None:
+        """Launch one ``spoof``/``replay``/``bogus``/``truncated`` attack
+        on ``victim`` and its home agent.
+
+        ``replay`` re-sends a request sniffed off the victim's wire: a
+        valid authenticator under ``auth_key`` (the attacker has the
+        ciphertext, not the key) and a stale ident.
+        """
+        if kind == "spoof":
+            self.spoof_registration(home_agent, victim.home_address)
+        elif kind == "replay":
+            care_of = victim.care_of or victim.home_address
+            lifetime = victim.reg_lifetime
+            auth = (compute_authenticator(auth_key, victim.home_address,
+                                          care_of, lifetime, 1)
+                    if auth_key else None)
+            self.capture(RegistrationRequest(
+                home_address=victim.home_address, care_of_address=care_of,
+                lifetime=lifetime, ident=1, auth=auth))
+            self.replay_captured(home_agent)
+        elif kind == "bogus":
+            self.send_bogus_tunnel(victim.care_of or victim.home_address)
+        elif kind == "truncated":
+            self.send_truncated_tunnel(home_agent)
+        else:
+            raise ValueError(f"unknown adversary attack {kind!r}")
+
+    # ------------------------------------------------------------------
     def _own_address(self) -> IPAddress:
         address = self._preferred_source()
         if address is None:
             raise RuntimeError(f"adversary {self.name} has no address")
         return address
-
-    def run_schedule(
-        self, schedule: List[Tuple[float, str, dict]]
-    ) -> None:
-        """Schedule a list of attacks: ``(at, kind, kwargs)`` tuples.
-
-        ``kind`` is one of ``spoof``, ``replay``, ``bogus``,
-        ``truncated``; the fuzz harness drives this from its generated
-        adversary events.
-        """
-        dispatch = {
-            "spoof": self.spoof_registration,
-            "replay": self.replay_captured,
-            "bogus": self.send_bogus_tunnel,
-            "truncated": self.send_truncated_tunnel,
-        }
-        for at, kind, kwargs in schedule:
-            action = dispatch.get(kind)
-            if action is None:
-                raise ValueError(f"unknown adversary action {kind!r}")
-            self.simulator.events.schedule(
-                max(0.0, at - self.simulator.now),
-                lambda a=action, k=dict(kwargs): a(**k),
-                label=f"{self.name}:{kind}",
-            )

@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..experiment.cache import ResultCache
 from ..experiment.runner import Runner, RunResult
-from ..experiment.spec import ExperimentSpec, TrafficProgram
+from ..experiment.spec import ADVERSARY_KINDS, ExperimentSpec, TrafficProgram
 from ..mobileip.correspondent import Awareness
 
 __all__ = [
@@ -53,7 +53,6 @@ TRAFFIC_PORT = 6200
 _TRAFFIC_SIZES = (50, 200, 600, 1400, 2500)
 _FAULT_MENU = ("link-flap", "loss-burst", "filter-toggle",
                "agent-restart", "node-outage")
-_ADVERSARY_MENU = ("spoof", "replay", "bogus", "truncated")
 
 
 def generate_case(
@@ -80,7 +79,7 @@ def generate_case(
     adversary = [
         {
             "at": round(rng.uniform(2.0, duration), 3),
-            "kind": rng.choice(_ADVERSARY_MENU),
+            "kind": rng.choice(ADVERSARY_KINDS),
         }
         for _ in range(rng.randint(0, 4))
     ]

@@ -116,6 +116,14 @@ class TestSweepCheckpoint(JsonlWriterContract):
         assert completed == {"sha-a": {"digest": "new"},
                              "sha-b": {"digest": "b"}}
 
+    def test_file_without_checkpoint_records_is_refused(self, tmp_path):
+        for name, text in (("grid.json", '{\n  "axes": {}\n}\n'),
+                           ("report.json", '{"runs": 2}\n')):
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(ValueError, match=name):
+                SweepCheckpoint.load(str(path))
+
     def test_torn_and_foreign_lines_are_skipped(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         with SweepCheckpoint(str(path)) as checkpoint:
@@ -226,6 +234,41 @@ class TestInlineFaultTolerance:
         monkeypatch.setenv(FAULT_ENV, "fail:cell-0:99")
         with pytest.raises(CellFailedError, match="cell-0"):
             SweepExecutor(jobs=1, strict_cells=True).run(specs)
+
+
+class TestOneLadder:
+    """Inline and supervised cells fail through the same ``_Task.fail``."""
+
+    def test_inline_empty_exception_message_falls_back_to_reason(
+            self, monkeypatch):
+        from repro.experiment import sweep
+
+        def boom(*_args):
+            raise RuntimeError()
+
+        monkeypatch.delenv(FAULT_ENV, raising=False)
+        monkeypatch.setattr(sweep, "_execute_payload", boom)
+        result = SweepExecutor(jobs=1, max_retries=0).run(_specs(1))
+        [failure] = [r.failure for r in result.failures]
+        assert failure["reason"] == "exception"
+        assert failure["message"] == "exception"
+
+    def test_poison_cell_record_is_the_same_at_any_jobs(self, monkeypatch):
+        def ladder(result):
+            return [(f["reason"], f["attempts"], f["message"],
+                     [(h["reason"], h["attempt"]) for h in f["history"]])
+                    for f in (r.failure for r in result.failures)]
+
+        specs = _specs(3)
+        monkeypatch.setenv(FAULT_ENV, "fail:cell-1:99")
+        inline, supervised = (
+            SweepExecutor(jobs=jobs, max_retries=1,
+                          retry_backoff=0.05).run(specs)
+            for jobs in (1, 2))
+        assert ladder(inline) == ladder(supervised)
+        assert ladder(inline)[0][:2] == ("exception", 2)
+        assert inline.retries == supervised.retries == 1
+        assert inline.digests() == supervised.digests()
 
 
 class TestCheckpointResume:

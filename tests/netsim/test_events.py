@@ -206,6 +206,13 @@ class TestRunUntil:
         queue.schedule(10.0, lambda: None)
         assert queue.run(until=1.0) == 1.0
 
+    def test_drain_without_until_leaves_the_clock_at_the_last_event(self):
+        queue = EventQueue()
+        queue.schedule(3.0, lambda: None)
+        assert queue.run() == 3.0
+        assert queue.run() == 3.0  # an empty queue does not move the clock
+        assert queue.run(until=7.0) == 7.0
+
     def test_event_budget_guards_runaway(self):
         queue = EventQueue()
 

@@ -527,6 +527,58 @@ class TestSweepSubcommand:
         assert main(["sweep", "--max-retries", "-1"]) == 1
         assert "--max-retries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--resume", "--checkpoint"])
+    def test_sweep_refuses_to_journal_into_a_grid(
+            self, tmp_path, capsys, flag):
+        import hashlib
+        import pathlib
+        import shutil
+
+        copy = tmp_path / "grid_4x4.json"
+        shutil.copyfile(pathlib.Path(__file__).resolve().parents[1]
+                        / "examples" / "grid_4x4.json", copy)
+        before = hashlib.sha256(copy.read_bytes()).hexdigest()
+        assert main(["sweep", "--grid", self._grid_file(tmp_path),
+                     "--no-cache", flag, str(copy)]) == 1
+        assert str(copy) in capsys.readouterr().err
+        assert hashlib.sha256(copy.read_bytes()).hexdigest() == before
+
+    def test_sweep_refuses_to_resume_from_a_json_out_report(
+            self, tmp_path, capsys):
+        import hashlib
+
+        grid = self._grid_file(tmp_path)
+        report = tmp_path / "report.json"
+        assert main(["sweep", "--grid", grid, "--no-cache",
+                     "--json-out", str(report)]) == 0
+        capsys.readouterr()
+        before = hashlib.sha256(report.read_bytes()).hexdigest()
+        assert main(["sweep", "--grid", grid, "--no-cache",
+                     "--resume", str(report)]) == 1
+        assert str(report) in capsys.readouterr().err
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == before
+
+    def test_sweep_resumes_a_checkpoint_torn_in_its_first_append(
+            self, tmp_path, capsys):
+        from repro.experiment import SweepCheckpoint
+
+        checkpoint = tmp_path / "ck.jsonl"
+        checkpoint.write_text('{"torn half of a lin')
+        assert main(["sweep", "--grid", self._grid_file(tmp_path),
+                     "--no-cache", "--resume", str(checkpoint)]) == 0
+        assert "(1 torn line(s) skipped)" in capsys.readouterr().err
+        # The first append terminated the torn line instead of gluing
+        # its record onto it.
+        lines = checkpoint.read_text().splitlines()
+        assert lines[0] == '{"torn half of a lin' and len(lines) == 3
+        completed, torn = SweepCheckpoint.load(str(checkpoint))
+        assert (len(completed), torn) == (2, 1)
+
+    def test_sweep_grace_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--grace", "5"])
+        assert exc.value.code == 2
+
     def test_sweep_checkpoint_then_resume_round_trip(self, tmp_path, capsys):
         grid = self._grid_file(tmp_path)
         checkpoint = tmp_path / "ck.jsonl"
@@ -571,6 +623,19 @@ class TestSweepSubcommand:
                      "--no-cache", "--strict-cells", "--max-retries", "0",
                      ]) == 1
         assert "seed=1401" in capsys.readouterr().err
+
+
+class TestOutOfRangeFlags:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--cell-timeout", "0"],
+        ["sweep", "--cell-timeout", "-1"],
+        ["sweep", "--retry-backoff", "-0.5"],
+        ["chaos", "--interval", "0"],
+        ["chaos", "--interval", "-1"],
+    ])
+    def test_flag_is_refused_by_name(self, argv, capsys):
+        assert main(argv) == 1
+        assert f"error: {argv[1]} must be" in capsys.readouterr().err
 
 
 class TestSweepProgress:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.scenarios import MH_HOME_ADDRESS, build_scenario
+from repro.experiment import ADVERSARY_KINDS
 from repro.mobileip.registration import (
     RegistrationRequest,
     ReplyCode,
@@ -130,16 +131,20 @@ class TestMalformedTunnels:
         assert monitor.ok, [str(v) for v in monitor.violations]
 
     def test_schedule_drives_attacks_through_the_event_engine(self):
+        """Each spec attack kind, scheduled as the runner does: the
+        bogus tunnel hits the victim, the truncated one its agent."""
         scenario, adversary = build_stage()
-        adversary.run_schedule([
-            (scenario.sim.now + 1.0, "bogus", {"dst": scenario.ha_ip}),
-            (scenario.sim.now + 2.0, "truncated", {"dst": scenario.ha_ip}),
-        ])
+        for delay, kind in enumerate(ADVERSARY_KINDS, start=1):
+            scenario.sim.events.schedule(
+                delay, adversary.attack, kind, scenario.ha_ip, scenario.mh)
         settle(scenario)
-        assert adversary.attacks_sent == 2
-        assert scenario.ha.tunnel.bad_encap_count == 2
+        assert adversary.attacks_sent == 4
+        assert len(adversary.replies) == 2  # spoof and replay answered
+        assert scenario.mh.tunnel.bad_encap_count == 1
+        assert scenario.ha.tunnel.bad_encap_count == 1
 
     def test_unknown_schedule_kind_is_refused(self):
         scenario, adversary = build_stage()
-        with pytest.raises(ValueError):
-            adversary.run_schedule([(1.0, "teleport", {})])
+        with pytest.raises(ValueError, match="teleport"):
+            adversary.attack("teleport", scenario.ha_ip, scenario.mh)
+        assert adversary.attacks_sent == 0
