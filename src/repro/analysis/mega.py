@@ -20,11 +20,13 @@ change what happens on the wire.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, Optional, Set
 
 from ..experiment.runner import Runner, RunResult
 from ..experiment.spec import ExperimentSpec, TrafficProgram
+from ..netsim.trace import TraceEntry
 
 __all__ = ["MegaReport", "mega_spec", "run_mega", "DEFAULT_TARGET_INDEX"]
 
@@ -74,6 +76,37 @@ def mega_spec(
     )
 
 
+def _conversation(
+    entries: Iterable[TraceEntry], ch: str, mh: str
+) -> Dict[str, Dict[str, int]]:
+    """Datagrams sent and delivered in each direction, by trace id.
+
+    A datagram belongs to the conversation when its first UDP ``send``
+    is at one endpoint; it counts as delivered when a UDP ``deliver``
+    follows at the other.  The UDP filter skips ICMP and a tunnel
+    packet's outer ``send``; the endpoint filter skips the agents'
+    tunnel sends and registrations.  The run's ``deliverability``
+    counts all of those.
+    """
+    peer = {ch: mh, mh: ch}
+    origin: Dict[int, str] = {}
+    delivered: Set[int] = set()
+    for entry in entries:
+        if entry.proto != "UDP":
+            continue
+        if entry.action == "send" and entry.node in peer:
+            origin.setdefault(entry.trace_id, entry.node)
+        elif (entry.action == "deliver"
+              and peer.get(origin.get(entry.trace_id)) == entry.node):
+            delivered.add(entry.trace_id)
+    sent_by = Counter(origin.values())
+    delivered_by = Counter(origin[trace_id] for trace_id in delivered)
+    return {
+        "ch->mh": {"sent": sent_by[ch], "delivered": delivered_by[ch]},
+        "mh->ch": {"sent": sent_by[mh], "delivered": delivered_by[mh]},
+    }
+
+
 @dataclass
 class MegaReport:
     """One mega run, measured."""
@@ -89,6 +122,10 @@ class MegaReport:
     population: Dict[str, Any]
     deliverability: Dict[str, Any]
     target: Optional[str]
+    # Per direction ("ch->mh", "mh->ch"): the conversation's datagrams
+    # sent and delivered (:func:`_conversation`); empty without
+    # traffic.
+    conversation: Dict[str, Dict[str, int]]
     result: RunResult = field(repr=False)
     # Set when verify ran: the materialized twin's digest and the verdict.
     verify_digest: Optional[str] = None
@@ -110,6 +147,7 @@ class MegaReport:
                 if key in ("sent", "delivered", "dropped", "lost")
             },
             "target": self.target,
+            "conversation": self.conversation,
         }
         if self.verify_digest is not None:
             out["verify_digest"] = self.verify_digest
@@ -134,11 +172,11 @@ class MegaReport:
             f"  promotions: {population.get('promotions', 0)} "
             f"(target {self.target or '-'})",
         ]
-        delivered = self.deliverability.get("delivered")
-        sent = self.deliverability.get("sent")
-        if sent:
-            lines.append(f"  conversation: {delivered}/{sent} datagrams "
-                         f"delivered")
+        if self.conversation:
+            lines.append("  conversation: " + ", ".join(
+                f"{direction.upper()} {counts['delivered']}/{counts['sent']}"
+                for direction, counts in self.conversation.items()
+            ) + " datagrams delivered")
         lines.append(f"  trace digest {self.digest[:16]}… "
                      f"({self.trace_entries} entries)")
         if self.verify_digest is not None:
@@ -179,6 +217,12 @@ def run_mega(
     assert scenario is not None and scenario.population is not None
     population_stats = scenario.population.stats()
     state_bytes = scenario.population.state_bytes()
+    target = spec.traffic.target if spec.traffic is not None else None
+    conversation: Dict[str, Dict[str, int]] = {}
+    if target is not None:
+        assert scenario.ch is not None
+        conversation = _conversation(
+            scenario.sim.trace.entries, scenario.ch.name, target)
     report = MegaReport(
         hosts=hosts,
         mode=mode,
@@ -190,7 +234,8 @@ def run_mega(
         bytes_per_host=state_bytes / max(hosts, 1),
         population=population_stats,
         deliverability=result.deliverability,
-        target=spec.traffic.target if spec.traffic is not None else None,
+        target=target,
+        conversation=conversation,
         result=result,
     )
     if verify:

@@ -16,17 +16,15 @@ byte accounting per link.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .packet import Packet
 
 __all__ = ["Subscriber", "TraceEntry", "TraceLog"]
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    """A globally-logged packet event."""
+class TraceEntry(NamedTuple):
+    """A globally-logged packet event: one tuple, fields by name."""
 
     time: float
     node: str
@@ -96,21 +94,11 @@ class TraceLog:
             self.drops_by_reason[detail] += 1
         elif action == "lost":
             self.losses_by_reason[detail] += 1
-        # Built via __new__ + __dict__: the dataclass __init__ routes
-        # every field through object.__setattr__, which dominates the
-        # hot path.  Field values are identical to the constructor call.
-        entry = TraceEntry.__new__(TraceEntry)
-        entry.__dict__.update(
-            time=time,
-            node=node,
-            action=action,
-            proto=packet.proto._name_,
-            trace_id=packet.trace_id,
-            src=str(packet.src),
-            dst=str(packet.dst),
-            wire_size=packet.wire_size,
-            detail=detail,
-        )
+        # TraceEntry(...) would add a Python-level frame per event.
+        entry = tuple.__new__(TraceEntry, (
+            time, node, action, packet.proto._name_, packet.trace_id,
+            str(packet.src), str(packet.dst), packet.wire_size, detail,
+        ))
         self.entries.append(entry)
         for subscriber in self.subscribers:
             subscriber(entry, packet)

@@ -104,26 +104,21 @@ class SpanRecorder:
     # Event intake
     # ------------------------------------------------------------------
     def on_event(self, entry: TraceEntry, packet: Packet) -> None:
-        trace_id = entry.trace_id
+        time, node, action, _, trace_id, src, dst, wire_size, detail = entry
         if trace_id in self._finished:
             return
-        time = entry.time
-        node = entry.node
-        action = entry.action
-        wire_size = entry.wire_size
         stack = self._stacks.get(trace_id)
         if stack is None:
             root = self._open(None, trace_id, f"datagram-{trace_id}",
                               "packet", node, time)
-            root.args["src"] = entry.src
-            root.args["dst"] = entry.dst
+            root.args["src"] = src
+            root.args["dst"] = dst
             root.args["base_bytes"] = wire_size
             root.args["max_bytes"] = wire_size
             stack = self._stacks[trace_id] = [root]
             if action == "send":
                 return
         root = stack[0]
-        detail = entry.detail
         if wire_size > root.args["max_bytes"]:
             root.args["max_bytes"] = wire_size
 

@@ -391,3 +391,20 @@ class TestMegaDriver:
         payload = report.to_dict()
         assert payload["verified"] is True
         assert payload["hosts"] == 1500
+
+    def test_conversation_counts_each_direction_by_trace_id(self):
+        """The default world's 40 datagrams, not the run's 76 sends: every
+        CH->MH datagram arrives; of MH->CH, 13 leave Out-DH and the
+        visited gateway's source filter drops them, and one more is lost."""
+        from repro.analysis.mega import run_mega
+
+        report = run_mega(hosts=1000)
+        assert report.digest.startswith("1dfc9a60")
+        assert report.deliverability["sent"] == 76
+        assert report.conversation == {
+            "ch->mh": {"sent": 20, "delivered": 20},
+            "mh->ch": {"sent": 20, "delivered": 6},
+        }
+        assert report.to_dict()["conversation"] == report.conversation
+        assert ("conversation: CH->MH 20/20, MH->CH 6/20 datagrams delivered"
+                in report.render())

@@ -35,6 +35,7 @@ class TestDelivery:
         assert first is second is trace.entries[0]
         assert p1 is p2 is packet
         assert isinstance(first, TraceEntry)
+        assert not hasattr(first, "__dict__")   # one tuple per event
         assert (first.time, first.node, first.action, first.detail) == (
             1.5, "r1", "forward", "why")
         assert first.trace_id == packet.trace_id

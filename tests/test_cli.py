@@ -282,6 +282,12 @@ class TestMegaSubcommand:
         assert path.read_text().endswith("}\n")
         assert json.loads(path.read_text())["hosts"] == 2000
 
+    def test_no_traffic_prints_no_conversation(self, capsys):
+        assert main(["mega", "--hosts", "1000", "--datagrams", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "trace digest" in out
+        assert "conversation" not in out
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_repro(self):
