@@ -22,10 +22,9 @@ from typing import Any, Dict, Optional
 
 from ..core.selection import ProbeStrategy
 from ..experiment.runner import Runner
-from ..experiment.spec import ExperimentSpec
+from ..experiment.spec import ExperimentSpec, TrafficProgram
 from ..mobileip.correspondent import Awareness
 from ..netsim.faults import FaultKind, FaultPlan
-from .scenarios import Scenario
 
 __all__ = [
     "CHAOS_PORT",
@@ -43,6 +42,7 @@ def chaos_spec(
     duration: float = 260.0,
     plan: Optional[FaultPlan] = None,
     arm_invariants: bool = False,
+    message_interval: float = 2.0,
     **overrides: Any,
 ) -> ExperimentSpec:
     """The chaos world as an :class:`ExperimentSpec`.
@@ -50,8 +50,9 @@ def chaos_spec(
     The visited domain is permissive (no egress source filtering) and
     the correspondent can decapsulate, so a conservative-first mobile
     host genuinely climbs Out-IE → Out-DE → Out-DH when the network is
-    healthy — giving faults something to knock down.  ``overrides``
-    are further spec fields.
+    healthy — giving faults something to knock down.  The traffic is a
+    TCP conversation from the mobile host, one message per
+    ``message_interval``.  ``overrides`` are further spec fields.
     """
     fields: Dict[str, Any] = dict(
         seed=seed,
@@ -62,6 +63,8 @@ def chaos_spec(
         visited_filtering=False,
         arm_invariants=arm_invariants,
         faults=plan.to_dict() if plan is not None else None,
+        traffic=TrafficProgram(
+            port=CHAOS_PORT, conversation={"interval": message_interval}),
     )
     fields.update(overrides)
     return ExperimentSpec(**fields)
@@ -158,7 +161,6 @@ def run_chaos(
     seed: int = 4242,
     duration: float = 260.0,
     message_interval: float = 2.0,
-    reg_lifetime: Optional[float] = None,
     arm_invariants: bool = False,
     flightrec_path: Optional[str] = None,
     **overrides: Any,
@@ -170,10 +172,7 @@ def run_chaos(
     ``duration``; when a fault kills the connection outright the host
     reconnects on the next tick.  ``plan`` defaults to
     :func:`demo_plan`; pass ``duration`` long enough for the plan's
-    last act plus recovery.  ``reg_lifetime`` shortens the registration
-    lifetime (and immediately renews at the new value), tightening the
-    refresh cadence so a scripted home-agent outage lands on a live
-    refresh instead of slipping between 300-second ones.
+    last act plus recovery.
 
     ``overrides`` are further spec fields (the CLI passes ``observe``).
     ``flightrec_path`` arms the flight recorder for the run; beyond the
@@ -190,53 +189,12 @@ def run_chaos(
         duration=duration,
         plan=plan,
         arm_invariants=arm_invariants,
+        message_interval=message_interval,
         **overrides,
     )
-    state = {"conn": None, "sent": 0, "echoes": 0, "reconnects": 0}
-
-    def conversation(scenario: Scenario, _spec: ExperimentSpec):
-        assert scenario.ch is not None and scenario.ch_ip is not None
-        sim = scenario.sim
-        if reg_lifetime is not None:
-            scenario.mh.reg_lifetime = reg_lifetime
-            if scenario.mh.registered:
-                scenario.mh.register_with_home_agent(reg_lifetime)
-
-        scenario.ch.stack.listen(
-            CHAOS_PORT,
-            lambda conn: setattr(
-                conn, "on_data", lambda d, s: conn.send(20, ("ack", d))
-            ),
-        )
-
-        def fresh_conn():
-            conn = scenario.mh.stack.connect(scenario.ch_ip, CHAOS_PORT)
-            conn.on_data = lambda d, s: state.__setitem__(
-                "echoes", state["echoes"] + 1
-            )
-            state["conn"] = conn
-            return conn
-
-        def tick() -> None:
-            if sim.now >= duration:
-                return
-            conn = state["conn"]
-            if conn is None or not (
-                conn.is_open or conn.state.value == "SYN_SENT"
-            ):
-                if conn is not None:
-                    state["reconnects"] += 1
-                fresh_conn()
-            elif conn.is_open:
-                state["sent"] += 1
-                conn.send(50, state["sent"])
-            sim.events.schedule(message_interval, tick)
-
-        fresh_conn()
-        sim.events.schedule(message_interval, tick)
-
     runner = Runner(flightrec_path=flightrec_path)
-    result = runner.run(spec, driver=conversation)
+    result = runner.run(spec)
+    conversation = result.extras["conversation"]
     scenario = runner.scenario
     assert scenario is not None
     record = scenario.mh.engine.cache.records.get(scenario.ch_ip)
@@ -256,9 +214,9 @@ def run_chaos(
         digest=result.digest,
         trace_entries=result.trace_entries,
         faults=dict(result.faults),
-        messages_sent=state["sent"],
-        echoes=state["echoes"],
-        reconnects=state["reconnects"],
+        messages_sent=conversation["sent"],
+        echoes=conversation["echoes"],
+        reconnects=conversation["reconnects"],
         registration_attempts=scenario.mh.registration_attempts,
         registration_failures=scenario.mh.registration_failures,
         registered=scenario.mh.registered,

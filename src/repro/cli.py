@@ -261,6 +261,10 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     """Run canonical traffic with the full observability layer on."""
     from .experiment import Runner, TrafficProgram
 
+    if args.datagrams < 0:
+        print(f"error: --datagrams must be >= 0, got {args.datagrams}",
+              file=sys.stderr)
+        return 1
     traffic = None
     if args.datagrams > 0:
         traffic = TrafficProgram(port=7000, uniform={
@@ -582,6 +586,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     """Property-based fuzzing with invariants armed; shrink on failure."""
     from .verify.fuzz import run_case, run_fuzz
 
+    if args.iterations < 0:
+        print(f"error: --iterations must be >= 0, got {args.iterations}",
+              file=sys.stderr)
+        return 1
     if args.repro:
         try:
             spec = ExperimentSpec.from_file(args.repro)
@@ -624,6 +632,10 @@ def _cmd_mega(args: argparse.Namespace) -> int:
 
     if args.hosts < 1:
         print(f"error: --hosts must be >= 1, got {args.hosts}",
+              file=sys.stderr)
+        return 1
+    if args.datagrams < 0:
+        print(f"error: --datagrams must be >= 0, got {args.datagrams}",
               file=sys.stderr)
         return 1
     runner = None

@@ -17,7 +17,7 @@ See docs/ARCHITECTURE.md §10 and §14.
 """
 
 from .cache import CACHE_SALT, ResultCache, default_cache_dir, spec_digest
-from .runner import Driver, Runner, RunResult
+from .runner import Runner, RunResult
 from .spec import (
     ADVERSARY_KINDS,
     ExperimentSpec,
@@ -44,7 +44,6 @@ __all__ = [
     "ADVERSARY_KINDS",
     "CACHE_SALT",
     "CellFailedError",
-    "Driver",
     "FAULT_ENV",
     "ExperimentSpec",
     "ResultCache",

@@ -10,9 +10,8 @@ Every driver in the tree used to hand-roll this sequence around
    adversary schedule — in that fixed order, which reproduces the
    event-queue insertion order of the legacy call sites so trace
    digests are byte-identical to the code this replaced;
-3. **drives** the spec's traffic program (and an optional in-process
-   ``driver`` hook for a workload a spec cannot yet describe — the
-   chaos TCP conversation is its one caller in the package);
+3. **drives** the spec's traffic program: a UDP schedule, or a TCP
+   conversation started after the faults and the adversary;
 4. **collects** a :class:`RunResult`: trace digest, deliverability and
    overhead summaries, a full metrics-registry snapshot, and the
    invariant verdict.
@@ -29,21 +28,18 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..analysis.scenarios import Scenario, build_scenario
 from ..bench.golden import trace_digest
 from ..netsim.faults import FaultInjector
+from ..transport.tcp import TCPConnection, TCPState
 from .spec import ExperimentSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.ledger import RunLedger
 
-__all__ = ["RunResult", "Runner", "Driver"]
-
-# A driver installs custom workload machinery on the built, armed
-# scenario before the clock runs.
-Driver = Callable[[Scenario, ExperimentSpec], None]
+__all__ = ["RunResult", "Runner"]
 
 
 @dataclass
@@ -147,11 +143,7 @@ class Runner:
         self.flightrec_path = flightrec_path
         self.flightrec_limit = flightrec_limit
 
-    def run(
-        self,
-        spec: ExperimentSpec,
-        driver: Optional[Driver] = None,
-    ) -> RunResult:
+    def run(self, spec: ExperimentSpec) -> RunResult:
         # One run allocates heavily (trace entries, heap tuples, packet
         # objects) but everything stays reachable until collection is
         # pointless; pausing the cyclic GC for the bounded lifecycle
@@ -160,16 +152,12 @@ class Runner:
         if was_enabled:
             gc.disable()
         try:
-            return self._run(spec, driver)
+            return self._run(spec)
         finally:
             if was_enabled:
                 gc.enable()
 
-    def _run(
-        self,
-        spec: ExperimentSpec,
-        driver: Optional[Driver] = None,
-    ) -> RunResult:
+    def _run(self, spec: ExperimentSpec) -> RunResult:
         t_start = perf_counter()
         # -- build ----------------------------------------------------
         scenario = build_scenario(**spec.scenario_kwargs())
@@ -193,6 +181,8 @@ class Runner:
         t_armed = perf_counter()
 
         # -- drive ----------------------------------------------------
+        end = (spec.duration if spec.absolute
+               else sim.now + spec.duration + spec.settle_margin)
         if spec.traffic is not None and spec.traffic.resolved_events():
             _schedule_traffic(scenario, spec)
         injector = None
@@ -202,13 +192,11 @@ class Runner:
             injector.inject(plan)
         if spec.adversary:
             _schedule_adversary(scenario, spec)
-        if driver is not None:
-            driver(scenario, spec)
+        extras: Dict[str, Any] = {}
+        if spec.traffic is not None and spec.traffic.conversation is not None:
+            extras["conversation"] = _start_conversation(scenario, spec, end)
 
-        if spec.absolute:
-            sim.run(until=spec.duration)
-        else:
-            sim.run(until=sim.now + spec.duration + spec.settle_margin)
+        sim.run(until=end)
         t_driven = perf_counter()
 
         if monitor is not None:
@@ -239,7 +227,6 @@ class Runner:
                 "violations": [v.to_dict() for v in monitor.violations],
                 "checks": dict(monitor.checks),
             })
-        extras: Dict[str, Any] = {}
         if flightrec is not None:
             info: Dict[str, Any] = {
                 "armed": True,
@@ -348,6 +335,50 @@ def _schedule_traffic(scenario: Scenario, spec: ExperimentSpec) -> None:
                 s.sendto("x", size, d, port),
             label=f"traffic-{index}",
         )
+
+
+def _start_conversation(scenario: Scenario, spec: ExperimentSpec,
+                        end: float) -> Dict[str, int]:
+    """Start the spec's TCP conversation; return its live counters.
+
+    The mobile end connects to the correspondent at the program's
+    ``port`` and, every ``interval`` until ``end``, sends a 50-byte
+    message on an open connection (the correspondent echoes 20 bytes)
+    or replaces one that is neither open nor connecting.
+    """
+    program = spec.traffic
+    assert program is not None and scenario.ch is not None
+    sim = scenario.sim
+    mobile = _resolve_traffic_target(scenario, program.target)
+    interval = program.conversation["interval"]
+    counts = {"sent": 0, "echoes": 0, "reconnects": 0}
+    scenario.ch.stack.listen(program.port, lambda conn: setattr(
+        conn, "on_data", lambda data, _size: conn.send(20, ("ack", data))))
+
+    def on_echo(_data, _size) -> None:
+        counts["echoes"] += 1
+
+    def connect() -> TCPConnection:
+        conn = mobile.stack.connect(scenario.ch_ip, program.port)
+        conn.on_data = on_echo
+        return conn
+
+    conn = connect()
+
+    def tick() -> None:
+        nonlocal conn
+        if sim.now >= end:
+            return
+        if not (conn.is_open or conn.state is TCPState.SYN_SENT):
+            counts["reconnects"] += 1
+            conn = connect()
+        elif conn.is_open:
+            counts["sent"] += 1
+            conn.send(50, counts["sent"])
+        sim.events.schedule(interval, tick)
+
+    sim.events.schedule(interval, tick)
+    return counts
 
 
 def _schedule_adversary(scenario: Scenario, spec: ExperimentSpec) -> None:

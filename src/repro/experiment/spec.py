@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from ..analysis.scenarios import SCENARIO_KNOBS
 from ..core.selection import ProbeStrategy
@@ -74,6 +74,14 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _require_object(value: Any, where: str, fields: Set[str]) -> None:
+    """``value`` must be a dict whose keys all name one of ``fields``."""
+    _require(isinstance(value, dict),
+             f"{where} must be an object, got {value!r}")
+    unknown = set(value) - fields
+    _require(not unknown, f"{where} has unknown fields {sorted(unknown)}")
+
+
 # Fields removed from the spec schema, with the type they used to have.
 # Spec, grid, and fuzz-repro files written before a removal still carry
 # the key; loading accepts a value of the old type and drops it.
@@ -107,24 +115,28 @@ def drop_retired_fields(
 
 @dataclass
 class TrafficProgram:
-    """A deterministic UDP traffic schedule between CH and MH.
+    """A deterministic traffic program between CH and MH.
 
-    Two shapes, exactly one of which may be set:
+    Three shapes, at most one of which may be set:
 
     * ``events`` — an explicit list of ``{"at", "direction", "size"}``
-      datagram events (times relative to the post-settle clock);
+      UDP datagram events (times relative to the post-settle clock);
     * ``uniform`` — ``{"datagrams", "spacing", "size", "direction"}``,
-      expanded on demand (keeps grid JSON small).
+      expanded on demand (keeps grid JSON small);
+    * ``conversation`` — ``{"interval": secs}``, a TCP conversation:
+      the mobile end sends one message per interval to the
+      correspondent's ``port``, which echoes each.
 
-    Both ends bind a UDP socket at ``port`` and send to the other's
-    ``port``.  The program once had two more socket knobs; they changed
-    no trace, and files that still carry them load with the keys
-    type-checked and dropped (``_RETIRED_TRAFFIC_FIELDS``).
+    For datagrams both ends bind a UDP socket at ``port`` and send to
+    the other's ``port``.  The program once had two more socket knobs;
+    they changed no trace, and files that still carry them load with
+    the keys type-checked and dropped (``_RETIRED_TRAFFIC_FIELDS``).
     """
 
     port: int = CANONICAL_PORT
     events: List[Dict[str, Any]] = field(default_factory=list)
     uniform: Optional[Dict[str, Any]] = None
+    conversation: Optional[Dict[str, Any]] = None
     # Mobile-side endpoint override: the name of another node to use in
     # place of the scenario's ``mh``.  A name belonging to a pooled
     # host (``mega-h{i}``, see repro.netsim.population) promotes it to
@@ -142,17 +154,16 @@ class TrafficProgram:
                  or (isinstance(self.target, str) and self.target),
                  f"traffic target must be a non-empty node name or null, "
                  f"got {self.target!r}")
-        _require(not (self.events and self.uniform),
-                 "traffic takes either explicit events or a uniform "
-                 "program, not both")
+        shapes = [name for name in ("events", "uniform", "conversation")
+                  if getattr(self, name)]
+        _require(len(shapes) < 2,
+                 f"traffic takes one of events, uniform or conversation, "
+                 f"not both {' and '.join(shapes)}")
         _require(isinstance(self.events, list),
                  f"traffic events must be a list, got {self.events!r}")
         for event in self.events:
-            _require(isinstance(event, dict),
-                     f"traffic event must be an object, got {event!r}")
-            unknown = set(event) - {"at", "direction", "size"}
-            _require(not unknown,
-                     f"traffic event has unknown fields {sorted(unknown)}")
+            _require_object(event, "traffic event",
+                            {"at", "direction", "size"})
             _require(_is_number(event.get("at")) and event["at"] >= 0,
                      f"traffic event needs 'at' >= 0, got {event.get('at')!r}")
             _require(event.get("direction") in _DIRECTIONS,
@@ -162,12 +173,8 @@ class TrafficProgram:
                      f"traffic event needs a positive int 'size', "
                      f"got {event.get('size')!r}")
         if self.uniform is not None:
-            _require(isinstance(self.uniform, dict),
-                     f"traffic uniform must be an object, got {self.uniform!r}")
-            unknown = set(self.uniform) - {
-                "datagrams", "spacing", "size", "direction"}
-            _require(not unknown,
-                     f"traffic uniform has unknown fields {sorted(unknown)}")
+            _require_object(self.uniform, "traffic uniform",
+                            {"datagrams", "spacing", "size", "direction"})
             datagrams = self.uniform.get("datagrams")
             _require(_is_int(datagrams) and datagrams > 0,
                      f"traffic uniform needs a positive int 'datagrams', "
@@ -183,6 +190,13 @@ class TrafficProgram:
             _require(direction in _DIRECTIONS + ("both",),
                      f"traffic uniform direction must be one of "
                      f"{_DIRECTIONS + ('both',)}, got {direction!r}")
+        if self.conversation is not None:
+            _require_object(self.conversation, "traffic conversation",
+                            {"interval"})
+            interval = self.conversation.get("interval")
+            _require(_is_number(interval) and interval > 0,
+                     f"traffic conversation needs an 'interval' > 0, "
+                     f"got {interval!r}")
 
     def resolved_events(self) -> List[Dict[str, Any]]:
         """The concrete datagram schedule (expands ``uniform``)."""
@@ -352,11 +366,7 @@ class ExperimentSpec:
         _require(isinstance(self.adversary, list),
                  f"adversary must be a list, got {self.adversary!r}")
         for event in self.adversary:
-            _require(isinstance(event, dict),
-                     f"adversary event must be an object, got {event!r}")
-            unknown = set(event) - {"at", "kind"}
-            _require(not unknown,
-                     f"adversary event has unknown fields {sorted(unknown)}")
+            _require_object(event, "adversary event", {"at", "kind"})
             _require(_is_number(event.get("at")) and event["at"] >= 0,
                      f"adversary event needs 'at' >= 0, "
                      f"got {event.get('at')!r}")

@@ -239,6 +239,9 @@ class EventQueue:
         heap = self._heap
         clock = self.clock
         pop = _heappop
+        if until is not None:
+            # The clock keeps float time whatever number type it is given.
+            until = float(until)
         horizon = float("inf") if until is None else until
         processed = 0
         live_popped = 0

@@ -4,6 +4,7 @@ from repro.experiment import (
     ExperimentSpec,
     Runner,
     RunResult,
+    TrafficProgram,
     canonical_traffic_spec,
 )
 
@@ -111,6 +112,14 @@ class TestCollection:
         assert runner.scenario is not None
         assert runner.scenario.ha.packets_tunneled == 10
 
+    def test_extras_hold_only_what_was_armed(self, tmp_path):
+        runner = Runner(flightrec_path=str(tmp_path / "flightrec.json"))
+        result = runner.run(canonical_traffic_spec(datagrams=5))
+        assert set(result.extras) == {"flightrec"}
+        assert result.extras["flightrec"]["armed"] is True
+        assert result.extras["flightrec"]["dumped"] is False
+        assert Runner().run(canonical_traffic_spec(datagrams=5)).extras == {}
+
     def test_zero_tunnel_depth_forces_deterministic_violation(self):
         # max_tunnel_depth=0 declares *any* encapsulation illegal, so
         # the canonical tunnelled workload must violate — the knob CI
@@ -124,27 +133,28 @@ class TestCollection:
 
 
 class TestDriverHook:
+    """The TCP conversation runs in the slot the retired ``driver`` hook
+    had: started on the built, armed scenario after the faults and the
+    adversary, its counters collected beside the runner's own extras."""
+
+    SPEC = ExperimentSpec(
+        duration=10.0,
+        traffic=TrafficProgram(port=6100, conversation={"interval": 0.5}))
+    # One 50-byte message per 0.5 s tick over the 10 s run, each echoed.
+    COUNTS = {"sent": 19, "echoes": 19, "reconnects": 0}
+
     def test_driver_runs_and_collects_extras(self, tmp_path):
-        seen = {}
-
-        def driver(scenario, spec):
-            seen["mh"] = scenario.mh.name
-            seen["seed"] = spec.seed
-
         runner = Runner(flightrec_path=str(tmp_path / "flightrec.json"))
-        result = runner.run(canonical_traffic_spec(datagrams=5), driver)
-        assert seen["seed"] == 1401
-        assert seen["mh"]  # driver saw the built scenario
-        # The runner still collects its own extras around a driver; the
-        # driver adds none.
-        assert set(result.extras) == {"flightrec"}
+        result = runner.run(self.SPEC)
+        assert result.extras["conversation"] == self.COUNTS
+        assert set(result.extras) == {"conversation", "flightrec"}
         assert result.extras["flightrec"]["armed"] is True
         assert result.extras["flightrec"]["dumped"] is False
+        assert result.digest == Runner().run(self.SPEC).digest
 
     def test_driver_without_collector(self):
-        result = Runner().run(
-            canonical_traffic_spec(datagrams=5), lambda sc, sp: None)
-        assert result.extras == {}
+        result = Runner().run(self.SPEC)
+        assert result.extras == {"conversation": self.COUNTS}
 
 
 class TestPhaseTimings:

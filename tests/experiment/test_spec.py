@@ -76,6 +76,14 @@ class TestJsonRoundTrip:
         assert kwargs["queue_capacities"] == {"uplink-home": 4}
         assert kwargs["link_bandwidths"] == {"uplink-home": 1.5e6}
 
+    def test_conversation_spec_round_trips(self):
+        spec = ExperimentSpec(traffic=TrafficProgram(
+            port=6100, conversation={"interval": 0.5}))
+        clone = ExperimentSpec.from_json(spec.to_json())
+        assert clone == spec
+        assert clone.traffic.conversation == {"interval": 0.5}
+        assert clone.traffic.resolved_events() == []
+
     def test_traffic_dict_is_coerced(self):
         spec = ExperimentSpec(traffic={"uniform": {"datagrams": 3}})
         assert isinstance(spec.traffic, TrafficProgram)
@@ -189,6 +197,17 @@ class TestValidation:
         ({"uniform": {"datagrams": 2, "direction": "sideways"}},
          "direction"),
         ({"uniform": {"datagrams": 2, "volume": 11}}, "unknown fields"),
+        ({"events": [{"at": 1.0, "direction": "mh->ch", "size": 10}],
+          "conversation": {"interval": 2.0}}, "not both"),
+        ({"uniform": {"datagrams": 2}, "conversation": {"interval": 2.0}},
+         "not both"),
+        ({"conversation": {"interval": 0}}, "interval"),
+        ({"conversation": {"interval": -1}}, "interval"),
+        ({"conversation": {"interval": "2"}}, "interval"),
+        ({"conversation": {"interval": True}}, "interval"),
+        ({"conversation": {"interval": 2.0, "size": 50}},
+         "conversation has unknown fields"),
+        ({"conversation": 2.0}, "must be an object"),
     ])
     def test_bad_traffic_raises(self, traffic, match):
         with pytest.raises(SpecError, match=match):

@@ -39,20 +39,20 @@ class TestChaosDeterminism:
 
 class TestHomeAgentOutageRecovery:
     def test_outage_restart_drives_backoff_and_reprobe(self):
-        # Short registration lifetime so a refresh lands inside the
-        # outage window: the refresh at ~48s hits a dead home agent and
-        # the backoff ladder runs dry (~31s later, before the restart
-        # at 100s — an outage shorter than the backoff window gets
-        # rescued by requests queued behind ARP at the home router, so
-        # no give-up would be recorded).  The post-give-up timer then
-        # re-registers with the restarted agent.
+        # A move inside the outage window: the mobile host registers
+        # its new care-of address with a dead home agent at 45s and the
+        # backoff ladder runs dry before the restart at 100s (an outage
+        # shorter than the backoff window gets rescued by requests
+        # queued behind ARP at the home router, so no give-up would be
+        # recorded).  The post-give-up timer then re-registers with the
+        # restarted agent.
         plan = FaultPlan()
         plan.add(20.0, FaultKind.LOSS_BURST, "visited-lan",
                  duration=8.0, loss_rate=1.0)
         plan.add(40.0, FaultKind.NODE_DOWN, "ha")
+        plan.add(45.0, FaultKind.MOVE, "mh", domain="visited")
         plan.add(100.0, FaultKind.AGENT_RESTART, "ha", flush_bindings=True)
-        report = run_chaos(plan=plan, seed=11, duration=200.0,
-                           reg_lifetime=30.0)
+        report = run_chaos(plan=plan, seed=11, duration=200.0)
 
         # Registration arc: at least one backoff give-up during the
         # outage, then recovery — registered again at the end, with the

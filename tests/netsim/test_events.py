@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis.scenarios import build_scenario
+from repro.bench.golden import trace_digest
 from repro.netsim.events import _COMPACT_MIN_CANCELLED, EventQueue, SimClock
 
 
@@ -222,6 +224,22 @@ class TestRunUntil:
         queue.schedule(0.0, forever)
         with pytest.raises(RuntimeError):
             queue.run(max_events=100)
+
+    def test_int_until_leaves_a_float_clock(self, sim):
+        sim.run(until=10)
+        assert repr(sim.now) == "10.0"
+
+    def test_int_until_stamps_and_digests_like_a_float_one(self):
+        def send_after(until):
+            scenario = build_scenario()
+            scenario.sim.run(until=until)
+            sock = scenario.ch.stack.udp_socket(7000)
+            sock.sendto("x", 100, scenario.mh.home_address, 7000)
+            return scenario.sim.trace
+
+        trace = send_after(10)
+        assert repr(trace.entries[-1].time) == "10.0"
+        assert trace_digest(trace) == trace_digest(send_after(10.0))
 
 
 class TestClock:

@@ -9,6 +9,7 @@ from repro.experiment import Runner, SpecGrid, canonical_traffic_spec
 from repro.netsim.addressing import IPAddress
 from repro.netsim.node import Node
 from repro.netsim.packet import IPProto, Packet
+from repro.netsim.simulator import Simulator
 from repro.obs.flightrec import (
     DEFAULT_FLIGHT_LIMIT,
     FLIGHTREC_SCHEMA,
@@ -71,20 +72,28 @@ class TestRenderAtDump:
     """The dump renders each packet from the headers frozen at its
     event; the text must equal an eager ``repr`` taken then."""
 
-    def test_worked_grid_cell_renders_like_eager_repr(self, tmp_path):
+    def test_worked_grid_cell_renders_like_eager_repr(
+        self, tmp_path, monkeypatch
+    ):
         grid = SpecGrid.from_file(str(EXAMPLES / "grid_4x4.json"))
         spec = next(cell for cell in grid.expand()
                     if cell.awareness == "conventional"
                     and cell.visited_filtering)
         collectors = []
+        arm = Simulator.enable_flight_recorder
 
-        def driver(scenario, _spec):
-            # Runs after the recorder is armed, before the clock starts.
-            collectors.append(_eager_reprs(scenario.sim.trace))
+        def arm_then_collect(sim, **kwargs):
+            # The collector subscribes right after the recorder, before
+            # the clock starts.
+            recorder = arm(sim, **kwargs)
+            collectors.append(_eager_reprs(sim.trace))
+            return recorder
 
+        monkeypatch.setattr(Simulator, "enable_flight_recorder",
+                            arm_then_collect)
         runner = Runner(flightrec_path=str(tmp_path / "fr.json"),
                         flightrec_limit=10_000)
-        runner.run(spec, driver=driver)
+        runner.run(spec)
         (reprs,) = collectors
         recorder = runner.scenario.sim.flightrec
         assert recorder.recorded == len(reprs) == 759

@@ -6,6 +6,10 @@ import pytest
 
 from repro.cli import main
 
+# `chaos` at the CLI's default seed under the demo plan.
+CHAOS_DIGEST = (
+    "403fe7a1afb1fcaa3d6b79e92bdcdeabd94cc545e1b1c4eed6ebb45f43be99f0")
+
 
 @pytest.fixture(autouse=True)
 def _isolated_cwd(tmp_path, monkeypatch):
@@ -240,6 +244,37 @@ class TestChaosSubcommand:
         )
         assert main(["chaos", "--fault-script", str(script)]) == 1
         assert "no segment named" in capsys.readouterr().err
+
+    def test_chaos_spec_replays_through_sweep(self, tmp_path):
+        import json
+
+        from repro.analysis.chaos import chaos_spec, demo_plan
+
+        assert main(["chaos", "--json-out", "chaos.json"]) == 0
+        with open("chaos.json") as handle:
+            chaos = json.load(handle)
+        assert chaos["digest"] == CHAOS_DIGEST
+        spec = tmp_path / "chaos-spec.json"
+        spec.write_text(chaos_spec(seed=1996, plan=demo_plan(),
+                                   arm_invariants=True).to_json())
+        counts = {"sent": chaos["messages_sent"], "echoes": chaos["echoes"],
+                  "reconnects": chaos["reconnects"]}
+        assert counts == {"sent": 95, "echoes": 24, "reconnects": 1}
+
+        def replay(*flags):
+            assert main(["sweep", "--spec", str(spec), *flags,
+                         "--json-out", "sweep.json"]) == 0
+            with open("sweep.json") as handle:
+                sweep = json.load(handle)
+            (result,) = sweep["results"]
+            assert result["digest"] == CHAOS_DIGEST
+            assert result["extras"]["conversation"] == counts
+            return sweep["cache"]
+
+        assert replay("--no-cache") is None
+        cache_dir = str(tmp_path / "cache")
+        assert replay("--cache-dir", cache_dir)["hits"] == 0
+        assert replay("--cache-dir", cache_dir)["hits"] == 1
 
 
 class TestCongestionSubcommand:
@@ -638,6 +673,9 @@ class TestOutOfRangeFlags:
         ["sweep", "--retry-backoff", "-0.5"],
         ["chaos", "--interval", "0"],
         ["chaos", "--interval", "-1"],
+        ["fuzz", "--iterations", "-1"],
+        ["mega", "--datagrams", "-1"],
+        ["obs", "--datagrams", "-1"],
     ])
     def test_flag_is_refused_by_name(self, argv, capsys):
         assert main(argv) == 1
