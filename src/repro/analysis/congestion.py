@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..experiment.runner import Runner
+from ..experiment.runner import Runner, gc_paused
 from ..experiment.spec import ExperimentSpec, TrafficProgram
 from ..mobileip.correspondent import Awareness
 from .scenarios import Scenario
@@ -223,6 +223,40 @@ def _latencies(scenario: Scenario) -> Tuple[int, List[float]]:
     return len(first_send), sorted(latencies)
 
 
+def _run_cell(
+    mode: str, spec: ExperimentSpec
+) -> Tuple[CongestionCell, Optional[Dict[str, Any]]]:
+    """Run one cell; return its measurements and its obs report.
+
+    Call it inside :func:`~repro.experiment.runner.gc_paused`: the
+    runner, scenario and bottleneck die with this frame, inside the
+    pause, so the first collection after the cell frees its world
+    before the next cell builds one.
+    """
+    runner = Runner()
+    result = runner.run(spec)
+    scenario = runner.scenario
+    assert scenario is not None
+    bottleneck = scenario.sim.segments[BOTTLENECK_SEGMENT]
+    sent, ordered = _latencies(scenario)
+    cell = CongestionCell(
+        mode=mode,
+        sent=sent,
+        received=len(ordered),
+        latency_mean=(sum(ordered) / len(ordered)) if ordered else None,
+        latency_p50=_percentile(ordered, 0.50) if ordered else None,
+        latency_p99=_percentile(ordered, 0.99) if ordered else None,
+        queue_dropped=bottleneck.queue_dropped,
+        peak_queue_depth=bottleneck.queue_peak,
+        bottleneck_busy=bottleneck.busy_seconds,
+        losses_by_reason=dict(
+            result.deliverability.get("losses_by_reason", {})),
+        invariant_violations=result.invariants.get("violation_count", 0),
+        digest=result.digest,
+    )
+    return cell, result.obs
+
+
 def run_congestion(
     seed: int = 1402,
     datagrams: int = 400,
@@ -248,27 +282,9 @@ def run_congestion(
             mode=mode, seed=seed, datagrams=datagrams, spacing=spacing,
             size=size, bandwidth=bandwidth, queue=queue, duration=duration,
             observe=observe)
-        runner = Runner()
-        result = runner.run(spec)
-        scenario = runner.scenario
-        assert scenario is not None
-        bottleneck = scenario.sim.segments[BOTTLENECK_SEGMENT]
-        sent, ordered = _latencies(scenario)
-        if result.obs is not None:
-            report.obs.append(result.obs)
-        report.cells.append(CongestionCell(
-            mode=mode,
-            sent=sent,
-            received=len(ordered),
-            latency_mean=(sum(ordered) / len(ordered)) if ordered else None,
-            latency_p50=_percentile(ordered, 0.50) if ordered else None,
-            latency_p99=_percentile(ordered, 0.99) if ordered else None,
-            queue_dropped=bottleneck.queue_dropped,
-            peak_queue_depth=bottleneck.queue_peak,
-            bottleneck_busy=bottleneck.busy_seconds,
-            losses_by_reason=dict(
-                result.deliverability.get("losses_by_reason", {})),
-            invariant_violations=result.invariants.get("violation_count", 0),
-            digest=result.digest,
-        ))
+        with gc_paused():
+            cell, obs = _run_cell(mode, spec)
+        report.cells.append(cell)
+        if obs is not None:
+            report.obs.append(obs)
     return report

@@ -628,10 +628,17 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 def _cmd_mega(args: argparse.Namespace) -> int:
     """Build a pooled mega world, converse with one host, report."""
-    from .analysis.mega import run_mega
+    from .analysis.mega import DEFAULT_TARGET_INDEX, run_mega
 
     if args.hosts < 1:
         print(f"error: --hosts must be >= 1, got {args.hosts}",
+              file=sys.stderr)
+        return 1
+    target = args.target
+    if target is None:
+        target = min(DEFAULT_TARGET_INDEX, args.hosts - 1)
+    elif not 0 <= target < args.hosts:
+        print(f"error: --target must be in [0, {args.hosts}), got {target}",
               file=sys.stderr)
         return 1
     if args.datagrams < 0:
@@ -651,7 +658,7 @@ def _cmd_mega(args: argparse.Namespace) -> int:
             seed=args.seed,
             duration=args.duration,
             datagrams=args.datagrams,
-            target_index=min(args.target, args.hosts - 1),
+            target_index=target,
             verify=args.verify,
             observe=observe,
             runner=runner,
@@ -916,9 +923,11 @@ def build_parser() -> argparse.ArgumentParser:
     mega.add_argument("--datagrams", type=int, default=40,
                       help="conversation datagrams with the target host "
                            "(default 40; 0 builds the world silently)")
-    mega.add_argument("--target", type=int, default=123,
+    mega.add_argument("--target", type=int, default=None,
                       help="pool index of the host the conversation "
-                           "promotes and talks to (default 123)")
+                           "promotes and talks to, in [0, --hosts) "
+                           "(default 123, or the last host when --hosts "
+                           "is 123 or fewer)")
     mega.add_argument("--verify", action="store_true",
                       help="also run the materialized twin and require "
                            "byte-identical trace digests (keep --hosts "

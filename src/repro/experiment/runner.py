@@ -26,9 +26,10 @@ keeps the last scenario on :attr:`Runner.scenario`.
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 from ..analysis.scenarios import Scenario, build_scenario
 from ..bench.golden import trace_digest
@@ -39,7 +40,33 @@ from .spec import ExperimentSpec
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.ledger import RunLedger
 
-__all__ = ["RunResult", "Runner"]
+__all__ = ["RunResult", "Runner", "gc_paused"]
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic GC for the block; a nested pause changes nothing.
+
+    A run allocates heavily (trace entries, heap tuples, packet
+    objects) and frees almost nothing until it ends, so gen-0 scans
+    during it are wasted work.  Hold the pause over a world's whole
+    life: a world built, driven and dropped inside one pause is all
+    young garbage when the GC resumes, and the first collection frees
+    it.  A world still referenced when the pause ends is promoted to
+    an older generation by that collection instead, and outlives later
+    worlds until an older generation is collected.  So a caller that
+    runs worlds in a loop drops its runner inside the pause.  The GC
+    is re-enabled even on error, and only by the pause that disabled
+    it.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass
@@ -144,18 +171,8 @@ class Runner:
         self.flightrec_limit = flightrec_limit
 
     def run(self, spec: ExperimentSpec) -> RunResult:
-        # One run allocates heavily (trace entries, heap tuples, packet
-        # objects) but everything stays reachable until collection is
-        # pointless; pausing the cyclic GC for the bounded lifecycle
-        # avoids dozens of gen-0 scans.  Re-enabled even on error.
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()
-        try:
+        with gc_paused():
             return self._run(spec)
-        finally:
-            if was_enabled:
-                gc.enable()
 
     def _run(self, spec: ExperimentSpec) -> RunResult:
         t_start = perf_counter()

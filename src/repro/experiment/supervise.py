@@ -56,14 +56,12 @@ itself), ``hang`` (sleep until the timeout reaps it), or ``fail``
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from ..obs.ledger import JsonlAppender, read_jsonl
@@ -529,6 +527,12 @@ class WorkerSupervisor:
     def run(
         self, payloads: Sequence[Dict[str, Any]]
     ) -> Iterator[Dict[str, Any]]:
+        # Imported here, where the only workers are spawned: a command
+        # that never spawns one never loads multiprocessing, nor the
+        # stdlib modules it pulls in.
+        import multiprocessing
+        from multiprocessing import connection as mp_connection
+
         self._ctx = multiprocessing.get_context("spawn")
         self._ready = deque(_Task(payload) for payload in payloads)
         self._waiting = []

@@ -45,7 +45,7 @@ from ..obs.ledger import (
     sweep_start_record,
 )
 from .cache import ResultCache
-from .runner import Runner, RunResult
+from .runner import Runner, RunResult, gc_paused
 from .spec import ExperimentSpec, SpecError, TrafficProgram, drop_retired_fields
 from .supervise import (
     CellFailedError,
@@ -276,12 +276,16 @@ def _execute_payload(payload: Dict[str, Any], attempt: int) -> Dict[str, Any]:
     directive for the cell has fired.
 
     Module-level so it pickles by reference under the ``spawn`` start
-    method (workers re-import :mod:`repro.experiment.sweep`).
+    method (workers re-import :mod:`repro.experiment.sweep`).  The
+    runner, and with it the cell's world, is dropped inside the GC
+    pause, so the first collection after the cell frees the world
+    (see :func:`~repro.experiment.runner.gc_paused`).
     """
     spec = ExperimentSpec.from_dict(payload["spec"])
     maybe_inject_fault(spec.label or "", attempt)
-    runner = Runner(flightrec_path=payload.get("flightrec_path"))
-    return runner.run(spec).to_dict()
+    with gc_paused():
+        result = Runner(flightrec_path=payload.get("flightrec_path")).run(spec)
+    return result.to_dict()
 
 
 def failed_result(spec: ExperimentSpec, failure: Dict[str, Any]) -> RunResult:

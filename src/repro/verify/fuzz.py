@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..experiment.cache import ResultCache
-from ..experiment.runner import Runner, RunResult
+from ..experiment.runner import Runner, RunResult, gc_paused
 from ..experiment.spec import ADVERSARY_KINDS, ExperimentSpec, TrafficProgram
 from ..mobileip.correspondent import Awareness
 
@@ -147,13 +147,16 @@ def run_case(
     With a ``cache``, the spec digest is looked up first — the shrinker
     revisits near-identical worlds, and a hit skips the whole run.
     ``flightrec_path`` arms the flight recorder and forces a live run
-    (a cache hit has no ring to dump).
+    (a cache hit has no ring to dump).  The case's world is dropped
+    inside the GC pause, so the first collection after it frees the
+    world (see :func:`~repro.experiment.runner.gc_paused`).
     """
     if flightrec_path is not None:
         cache = None
     result = cache.lookup(spec) if cache is not None else None
     if result is None:
-        result = Runner(flightrec_path=flightrec_path).run(spec)
+        with gc_paused():
+            result = Runner(flightrec_path=flightrec_path).run(spec)
         if cache is not None:
             cache.store(spec, result)
     return result

@@ -315,7 +315,26 @@ class TestMegaSubcommand:
                      "--json-out", str(path)]) == 0
         assert f"mega report written to {path}" in capsys.readouterr().out
         assert path.read_text().endswith("}\n")
-        assert json.loads(path.read_text())["hosts"] == 2000
+        report = json.loads(path.read_text())
+        assert report["hosts"] == 2000
+        assert report["target"] == "mega-h123"
+
+    def test_default_target_is_the_last_host_of_a_small_world(
+            self, tmp_path):
+        import json
+
+        path = tmp_path / "mega.json"
+        assert main(["mega", "--hosts", "100", "--datagrams", "4",
+                     "--json-out", str(path)]) == 0
+        assert json.loads(path.read_text())["target"] == "mega-h99"
+
+    @pytest.mark.parametrize("hosts, target", [
+        ("100", "500"), ("100", "100"), ("1000000", "-1")])
+    def test_target_outside_the_world_is_refused(
+            self, hosts, target, capsys):
+        assert main(["mega", "--hosts", hosts, "--target", target]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --target must be in [0, {hosts}), got {target}\n")
 
     def test_no_traffic_prints_no_conversation(self, capsys):
         assert main(["mega", "--hosts", "1000", "--datagrams", "0"]) == 0
