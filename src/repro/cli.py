@@ -57,6 +57,10 @@ the last trace entries, dumped to ``flightrec.json`` (with engine
 state) when a run ends with invariant violations — or, for chaos, an
 unrecovered registration.
 
+A command that writes to a stdout whose reader has exited (say, a
+``head`` that already quit) stops quietly with exit 141 (128 +
+SIGPIPE) instead of a traceback.
+
 Installed as ``repro-mobility`` (see pyproject.toml), or run with
 ``python -m repro``.
 """
@@ -939,8 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="render a run ledger as markdown/JSON")
     report.add_argument("path",
-                        help="ledger JSONL (from sweep --ledger or a "
-                             "Runner ledger)")
+                        help="ledger JSONL (from sweep --ledger)")
     report.add_argument("--json", action="store_true",
                         help="emit the summary as JSON instead of markdown")
     report.add_argument("--out", metavar="PATH", default=None,
@@ -978,6 +981,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     args._obs = []
     try:
         status = args.func(args)
+        if args.obs_out and args._obs:
+            reports = []
+            for obs in args._obs:
+                # Entries are live Observability handles (scenario-building
+                # subcommands) or already-collected plain dicts (sweep's
+                # merged counters, chaos's and congestion's run reports).
+                if isinstance(obs, dict):
+                    reports.append(obs)
+                else:
+                    obs.finish()
+                    reports.append(obs.report())
+            merged = reports[0] if len(reports) == 1 else {"runs": reports}
+            _write_json(args.obs_out, merged, "observability report")
+        # Flush here, not at exit, so a reader that went away surfaces
+        # as the BrokenPipeError handled below.
+        sys.stdout.flush()
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -986,19 +1005,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         # traceback on Ctrl-C: one line, conventional 128+SIGINT exit.
         print("interrupted", file=sys.stderr)
         return 130
-    if args.obs_out and args._obs:
-        reports = []
-        for obs in args._obs:
-            # Entries are live Observability handles (scenario-building
-            # subcommands) or already-collected plain dicts (sweep's
-            # merged counters, chaos's and congestion's run reports).
-            if isinstance(obs, dict):
-                reports.append(obs)
-            else:
-                obs.finish()
-                reports.append(obs.report())
-        merged = reports[0] if len(reports) == 1 else {"runs": reports}
-        _write_json(args.obs_out, merged, "observability report")
+    except BrokenPipeError:
+        # The reader of stdout exited early (`... | head`).  Point fd 1
+        # at devnull so the exit-time flush of what is still buffered
+        # cannot fail again, and exit quietly with 128+SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return status
 
 

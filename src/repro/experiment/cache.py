@@ -25,10 +25,10 @@ entire cache lazily, with no migration step.
 The cache must be **bypassed** whenever the bytes under measurement are
 the point: benchmark timings, determinism checks comparing serial vs
 parallel sweeps, and any run whose code is suspected of differing from
-the salt.  Wire it explicitly (``SweepExecutor(cache=...)``,
-``run_fuzz(cache=...)``); nothing in the library caches behind your
-back.  Counters (hits/misses/invalidations/stores/bytes) are exposed
-via :meth:`ResultCache.stats` and can be surfaced as a
+the salt.  Wire it explicitly (``SweepExecutor(cache=...)``); nothing
+in the library caches behind your back.  Counters
+(hits/misses/invalidations/stores/bytes) are exposed via
+:meth:`ResultCache.stats` and can be surfaced as a
 :mod:`repro.obs.metrics` family with :meth:`ResultCache.register_metrics`.
 """
 

@@ -29,16 +29,13 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from ..analysis.scenarios import Scenario, build_scenario
 from ..bench.golden import trace_digest
 from ..netsim.faults import FaultInjector
 from ..transport.tcp import TCPConnection, TCPState
 from .spec import ExperimentSpec
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..obs.ledger import RunLedger
 
 __all__ = ["RunResult", "Runner", "gc_paused"]
 
@@ -150,23 +147,21 @@ class RunResult:
 class Runner:
     """Executes one :class:`ExperimentSpec` through the full lifecycle.
 
-    ``ledger`` (a :class:`~repro.obs.ledger.RunLedger`) receives one
-    durable JSONL record per run.  ``flightrec_path`` arms the
-    postmortem flight recorder (see :mod:`repro.obs.flightrec`): the
-    ring rides every run, and a run that ends with invariant
-    violations dumps it to that path; the dump's whereabouts land in
-    ``RunResult.extras["flightrec"]``.  Both default off, so plain
-    callers pay nothing.
+    ``flightrec_path`` arms the postmortem flight recorder (see
+    :mod:`repro.obs.flightrec`): the ring rides every run, and a run
+    that ends with invariant violations dumps it to that path; the
+    dump's whereabouts land in ``RunResult.extras["flightrec"]``.  It
+    defaults off, so plain callers pay nothing.  Run-ledger records
+    are written by the sweep
+    (:class:`~repro.experiment.sweep.SweepExecutor`), not here.
     """
 
     def __init__(
         self,
-        ledger: Optional["RunLedger"] = None,
         flightrec_path: Optional[str] = None,
         flightrec_limit: Optional[int] = None,
     ) -> None:
         self.scenario: Optional[Scenario] = None
-        self.ledger = ledger
         self.flightrec_path = flightrec_path
         self.flightrec_limit = flightrec_limit
 
@@ -268,7 +263,7 @@ class Runner:
             "collect": t_collected - t_driven,
             "total": t_collected - t_start,
         }
-        result = RunResult(
+        return RunResult(
             spec=spec.to_dict(),
             label=spec.label,
             seed=spec.seed,
@@ -285,11 +280,6 @@ class Runner:
             extras=extras,
             timings=timings,
         )
-        if self.ledger is not None:
-            from ..obs.ledger import run_record
-
-            self.ledger.append(run_record(result, provenance="run"))
-        return result
 
 
 # ----------------------------------------------------------------------

@@ -8,19 +8,19 @@ identical traces run-to-run — so ties are broken by insertion order and
 all randomness flows through a single seeded RNG owned by the
 :class:`Simulator` (see :mod:`repro.netsim.simulator`).
 
-Performance notes (this engine bounds the wall time of every figure
-benchmark and of the end-to-end ``python -m benchmarks.e2e`` runs):
+The queue is one binary heap of ``(time, seq, event)`` tuples: sift
+comparisons are C-level tuple comparisons, and ``seq`` settles every
+tie before a comparison could reach the event.  :class:`Event` is a
+``__slots__`` class, because one is allocated on every packet hop.
 
-* The heap stores plain ``(time, seq, event)`` tuples, so sift
-  comparisons are C-level tuple comparisons instead of dataclass
-  ``__lt__`` calls building tuples per comparison.
-* :class:`Event` is a ``__slots__`` class; events are allocated on
-  every packet hop, so per-instance dict overhead matters.
-* ``pending`` is O(1): the queue maintains a live-event counter
-  decremented on :meth:`Event.cancel` and on pop.
-* Cancelled entries are discarded lazily on pop, and the heap is
-  compacted outright when cancelled corpses outnumber live events
-  (timer-heavy transports cancel most of what they schedule).
+Cancellation is lazy.  :meth:`Event.cancel` only sets a flag; the entry
+stays in the heap until :meth:`EventQueue.run` pops and discards it.
+:attr:`EventQueue.pending` and :attr:`EventQueue.cancelled_backlog`
+scan the heap when read, so they are exact at every moment, also from
+inside an action.  Only tests and the observers (the engine sampler
+and the flight recorder) read them, and the heap stays small: no
+workload builds more than a few hundred entries or holds more than a
+handful of cancelled ones at once.
 """
 
 from __future__ import annotations
@@ -33,29 +33,17 @@ _heappop = heapq.heappop
 
 __all__ = ["Event", "EventQueue", "SimClock"]
 
-# Compact the heap when it holds more than this many cancelled entries
-# AND they outnumber the live ones.  Small enough that a timer-heavy
-# run never carries a mostly-dead heap, large enough that compaction
-# cost is amortized over many cancellations.
-_COMPACT_MIN_CANCELLED = 256
-
 
 class Event:
     """A scheduled callback.
 
-    Ordering is (time, sequence); the callback and its arguments do not
-    participate in comparisons.  ``cancelled`` supports O(1) timer
-    cancellation (the queue lazily discards cancelled events on pop).
-
-    ``done`` marks an event that has already executed.  Cancelling a
-    done event is a harmless no-op: callers that keep timer handles
-    around (registration retries, refresh timers) would otherwise
-    corrupt the queue's O(1) live/cancelled accounting by "cancelling"
-    an event that is no longer in the heap.
+    The queue orders events by ``(time, seq)``; the callback and its
+    arguments never take part in a comparison.  :meth:`cancel` is O(1)
+    and idempotent, and cancelling an event that already ran is
+    harmless: it is no longer in the heap, so nothing reads the flag.
     """
 
-    __slots__ = ("time", "seq", "action", "args", "label", "cancelled", "done",
-                 "_queue")
+    __slots__ = ("time", "seq", "action", "args", "label", "cancelled")
 
     def __init__(
         self,
@@ -64,7 +52,6 @@ class Event:
         action: Callable[..., Any],
         args: tuple = (),
         label: str = "",
-        queue: Optional["EventQueue"] = None,
     ):
         self.time = time
         self.seq = seq
@@ -72,22 +59,9 @@ class Event:
         self.args = args
         self.label = label
         self.cancelled = False
-        self.done = False
-        self._queue = queue
 
     def cancel(self) -> None:
-        if not self.cancelled and not self.done:
-            self.cancelled = True
-            queue = self._queue
-            if queue is not None:
-                queue._note_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        # Kept for API compatibility with the old dataclass(order=True)
-        # Event; the queue itself orders tuples, not events.
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time, self.seq) < (other.time, other.seq)
+        self.cancelled = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
@@ -107,13 +81,6 @@ class SimClock:
     def now(self) -> float:
         return self._now
 
-    def _advance(self, time: float) -> None:
-        if time < self._now:
-            raise RuntimeError(
-                f"time went backwards: {time} < {self._now}"
-            )
-        self._now = time
-
 
 class EventQueue:
     """A priority queue of events with deterministic tie-breaking."""
@@ -125,8 +92,6 @@ class EventQueue:
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self.processed = 0
-        self._live = 0        # scheduled and not yet cancelled or run
-        self._cancelled = 0   # cancelled entries still sitting in the heap
 
     def schedule(
         self,
@@ -141,9 +106,8 @@ class EventQueue:
         time = self.clock._now + delay
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, action, args, label, self)
+        event = Event(time, seq, action, args, label)
         _heappush(self._heap, (time, seq, event))
-        self._live += 1
         return event
 
     def schedule_at(
@@ -166,56 +130,18 @@ class EventQueue:
 
     @property
     def pending(self) -> int:
-        """Live (scheduled, not cancelled, not yet run) event count. O(1)."""
-        return self._live
+        """Events scheduled and neither cancelled nor run (a heap scan)."""
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     @property
     def heap_size(self) -> int:
-        """Raw heap entries, live plus cancelled corpses. O(1)."""
+        """Heap entries, cancelled ones included."""
         return len(self._heap)
 
     @property
     def cancelled_backlog(self) -> int:
-        """Cancelled entries still awaiting lazy removal. O(1)."""
-        return self._cancelled
-
-    def _note_cancel(self) -> None:
-        """Called by :meth:`Event.cancel`: maintain counters, compact."""
-        self._live -= 1
-        self._cancelled += 1
-        if self._cancelled > _COMPACT_MIN_CANCELLED and self._cancelled > self._live:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify the survivors.
-
-        In place (slice assignment), because ``run()`` holds a local
-        reference to the heap list while actions — which may cancel
-        timers and trigger compaction — execute.
-        """
-        heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
-        heapq.heapify(heap)
-        self._cancelled = 0
-
-    def step(self) -> bool:
-        """Run the next event.  Returns False when the queue is empty."""
-        heap = self._heap
-        clock = self.clock
-        while heap:
-            time, _seq, event = _heappop(heap)
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            self._live -= 1
-            if time < clock._now:
-                raise RuntimeError(f"time went backwards: {time} < {clock._now}")
-            clock._now = time
-            event.done = True
-            event.action(*event.args)
-            self.processed += 1
-            return True
-        return False
+        """Cancelled entries still in the heap (a heap scan)."""
+        return sum(1 for entry in self._heap if entry[2].cancelled)
 
     def run(self, until: Optional[float] = None, max_events: int = 1_000_000) -> float:
         """Drain the queue, optionally stopping at time ``until``.
@@ -229,12 +155,9 @@ class EventQueue:
         The body is the hottest loop in the simulator: one loop (no
         ``until`` is an infinite horizon) pops first and pushes back
         the at-most-one over-horizon event rather than peeking every
-        iteration, advances the clock inline instead of through
-        ``SimClock._advance``, and batches the ``processed``/live
-        counter updates into a ``finally`` (so mid-run actions that
-        cancel timers still interleave correctly, but code polling
-        ``pending``/``processed`` *from inside an action* sees values
-        as of run() entry — no simulator code does).
+        iteration, advances the clock inline, and adds to ``processed``
+        once, in a ``finally``: read from inside an action, it is the
+        count as of this run's entry.
         """
         heap = self._heap
         clock = self.clock
@@ -244,7 +167,6 @@ class EventQueue:
             until = float(until)
         horizon = float("inf") if until is None else until
         processed = 0
-        live_popped = 0
         try:
             while processed < max_events:
                 if not heap:
@@ -254,7 +176,6 @@ class EventQueue:
                 entry = pop(heap)
                 event = entry[2]
                 if event.cancelled:
-                    self._cancelled -= 1
                     continue
                 time = entry[0]
                 if time > horizon:
@@ -262,15 +183,12 @@ class EventQueue:
                     if horizon > clock._now:
                         clock._now = horizon
                     return clock._now
-                live_popped += 1
                 if time < clock._now:
                     raise RuntimeError(
                         f"time went backwards: {time} < {clock._now}")
                 clock._now = time
-                event.done = True
                 event.action(*event.args)
                 processed += 1
             raise RuntimeError(f"event budget exhausted ({max_events} events)")
         finally:
             self.processed += processed
-            self._live -= live_popped

@@ -5,8 +5,8 @@ PR 1 made the event engine fast; this module makes it legible.  An
 configurable cadence of *simulation* time and recording:
 
 * event-loop depth (live ``pending`` events) and raw heap size;
-* the cancelled-entry ratio (how much of the heap is lazy-deletion
-  corpses — the quantity PR 1's compaction threshold acts on);
+* the cancelled-entry ratio (how much of the heap is cancelled
+  entries awaiting their lazy removal on pop);
 * per-node queue depths (reassembly buffers awaiting fragments);
 * per-link utilization (line-busy bits accumulated in the last
   interval over the link's bandwidth budget), transmit-queue depth,
@@ -89,12 +89,6 @@ class EngineSampler:
         events = self.sim.events
         heap = events.heap_size
         cancelled = events.cancelled_backlog
-        # Not events.pending: the run() hot loop batches its live-count
-        # bookkeeping until it returns, so polling pending from inside
-        # an event action reads the value as of run() entry.  Heap size
-        # and the cancelled count are maintained inline, so their
-        # difference is the accurate mid-run live depth.
-        live = heap - cancelled
         nodes = {}
         for name, node in self.sim.nodes.items():
             nodes[name] = {
@@ -121,12 +115,12 @@ class EngineSampler:
             }
         sample = {
             "time": self.sim.now,
-            "pending": live,
+            "pending": events.pending,
             "heap": heap,
             "cancelled": cancelled,
             "cancelled_ratio": (cancelled / heap) if heap else 0.0,
-            # Batched like the live count: as of the enclosing run()'s
-            # entry when sampled from the timer, exact between runs.
+            # run() adds to it once, on return: as of the enclosing
+            # run()'s entry when sampled from the timer, exact between runs.
             "processed": events.processed,
             "nodes": nodes,
             "links": links,

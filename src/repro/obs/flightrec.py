@@ -95,8 +95,6 @@ class FlightRecorder:
         """Live engine internals at dump time (queue, nodes, segments)."""
         sim = self.sim
         events = sim.events
-        heap = events.heap_size
-        cancelled = events.cancelled_backlog
         nodes: Dict[str, Any] = {}
         for name, node in sim.nodes.items():
             info: Dict[str, Any] = {
@@ -121,9 +119,9 @@ class FlightRecorder:
         return {
             "clock": sim.now,
             "events": {
-                "heap": heap,
-                "cancelled": cancelled,
-                "pending_live": heap - cancelled,
+                "heap": events.heap_size,
+                "cancelled": events.cancelled_backlog,
+                "pending_live": events.pending,
                 "processed": events.processed,
             },
             "nodes": nodes,

@@ -25,7 +25,8 @@ artifacts (cache entries, flight-recorder dumps).
 
 Record kinds:
 
-* ``run`` — one Runner invocation (live or served from cache).
+* ``run`` — one sweep cell (run live, or served from the cache or a
+  checkpoint).
 * ``sweep-start`` / ``sweep-end`` — sweep bracketing, with totals.
 
 :func:`validate_record` checks any record against the published

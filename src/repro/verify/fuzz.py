@@ -34,7 +34,6 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..experiment.cache import ResultCache
 from ..experiment.runner import Runner, RunResult, gc_paused
 from ..experiment.spec import ADVERSARY_KINDS, ExperimentSpec, TrafficProgram
 from ..mobileip.correspondent import Awareness
@@ -138,28 +137,16 @@ def _random_fault(rng: random.Random, duration: float) -> List[Dict[str, Any]]:
 # Execution
 # ----------------------------------------------------------------------
 def run_case(
-    spec: ExperimentSpec,
-    cache: Optional[ResultCache] = None,
-    flightrec_path: Optional[str] = None,
+    spec: ExperimentSpec, flightrec_path: Optional[str] = None
 ) -> RunResult:
     """Run one case through the shared :class:`Runner`.
 
-    With a ``cache``, the spec digest is looked up first — the shrinker
-    revisits near-identical worlds, and a hit skips the whole run.
-    ``flightrec_path`` arms the flight recorder and forces a live run
-    (a cache hit has no ring to dump).  The case's world is dropped
-    inside the GC pause, so the first collection after it frees the
-    world (see :func:`~repro.experiment.runner.gc_paused`).
+    ``flightrec_path`` arms the flight recorder.  The case's world is
+    dropped inside the GC pause, so the first collection after it
+    frees the world (see :func:`~repro.experiment.runner.gc_paused`).
     """
-    if flightrec_path is not None:
-        cache = None
-    result = cache.lookup(spec) if cache is not None else None
-    if result is None:
-        with gc_paused():
-            result = Runner(flightrec_path=flightrec_path).run(spec)
-        if cache is not None:
-            cache.store(spec, result)
-    return result
+    with gc_paused():
+        return Runner(flightrec_path=flightrec_path).run(spec)
 
 
 # ----------------------------------------------------------------------
@@ -213,13 +200,11 @@ def shrink_case(
     spec: ExperimentSpec,
     target_invariant: str,
     max_runs: int = 200,
-    cache: Optional[ResultCache] = None,
 ) -> ExperimentSpec:
     """Greedy shrink to a fixpoint, preserving the target violation.
 
-    The greedy loop regenerates candidate lists after every accepted
-    shrink, so the same candidate world often comes up again; with a
-    ``cache`` those repeats are digest hits instead of full runs.
+    The candidate list is regenerated after every accepted shrink;
+    ``max_runs`` bounds the cases run in all.
     """
     current = spec
     runs = 0
@@ -230,7 +215,7 @@ def shrink_case(
             runs += 1
             if runs >= max_runs:
                 break
-            result = run_case(candidate, cache=cache)
+            result = run_case(candidate)
             if any(v["invariant"] == target_invariant
                    for v in result.violations):
                 current = candidate
@@ -294,7 +279,6 @@ def run_fuzz(
     out: Optional[str] = None,
     shrink: bool = True,
     max_tunnel_depth: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
     flightrec_path: Optional[str] = None,
 ) -> FuzzReport:
     """Run the fuzz loop; on the first violation, shrink and report.
@@ -303,16 +287,16 @@ def run_fuzz(
     Stops at the first failing case — fuzzing is a detector, not a
     census.
 
-    ``flightrec_path`` keeps the campaign and shrinker unperturbed
-    (the ring would defeat the shrinker's cache) and instead replays
-    the **shrunken** case once with the flight recorder armed, so the
-    dump on disk matches the repro JSON next to it.
+    ``flightrec_path`` leaves the campaign and the shrinker unarmed
+    and instead replays the **shrunken** case once with the flight
+    recorder armed, so the dump on disk matches the repro JSON next
+    to it.
     """
     master = random.Random(seed)
     report = FuzzReport(seed=seed, iterations=iterations)
     for _ in range(iterations):
         case = generate_case(master.randrange(1 << 31), max_tunnel_depth)
-        result = run_case(case, cache=cache)
+        result = run_case(case)
         report.cases_run += 1
         if result.ok:
             continue
@@ -322,7 +306,7 @@ def run_fuzz(
         report.shrunk_case = case
         if shrink:
             target = result.violations[0]["invariant"]
-            report.shrunk_case = shrink_case(case, target, cache=cache)
+            report.shrunk_case = shrink_case(case, target)
         if out is not None:
             with open(out, "w") as handle:
                 json.dump(

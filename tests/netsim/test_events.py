@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.scenarios import build_scenario
 from repro.bench.golden import trace_digest
-from repro.netsim.events import _COMPACT_MIN_CANCELLED, EventQueue, SimClock
+from repro.netsim.events import EventQueue
 
 
 class TestScheduling:
@@ -109,38 +109,59 @@ class TestCancellation:
         assert queue.pending == 5
         events[3].cancel()
         assert queue.pending == 4
-        queue.step()
+        queue.run(until=1.0)
         assert queue.pending == 3
         queue.run()
         assert queue.pending == 0
 
-    def test_cancelled_events_never_fire_across_compaction(self):
-        # Cancel enough events to cross the compaction threshold and
-        # verify: no cancelled callback runs, processed/pending stay
-        # consistent, and survivors run in the original order.
+    def test_counts_inside_an_action_are_exact(self):
+        # The action at t=2 cancels the event at t=3: what it reads
+        # must already count the t=1 and t=2 events as run and the
+        # t=3 one as cancelled, not the values as of run()'s entry.
+        queue = EventQueue()
+        seen = []
+
+        def read():
+            doomed.cancel()
+            seen.append((queue.pending, queue.cancelled_backlog,
+                         queue.heap_size))
+
+        queue.schedule(1.0, lambda: None)
+        queue.schedule(2.0, read)
+        doomed = queue.schedule(3.0, lambda: None)
+        queue.schedule(4.0, lambda: None)
+        queue.run()
+        assert seen == [(1, 1, 2)]
+        assert queue.processed == 3
+
+    def test_cancelled_events_never_fire_after_a_mass_cancel(self):
+        # Cancel two of every three of many events: no cancelled
+        # callback runs, processed/pending stay exact, and survivors
+        # run in the original order.
         queue = EventQueue()
         ran = []
         keepers = 0
-        for index in range(3 * _COMPACT_MIN_CANCELLED):
+        for index in range(600):
             event = queue.schedule(1.0 + index, ran.append, index)
             if index % 3:
                 event.cancel()
             else:
                 keepers += 1
         assert queue.pending == keepers
-        assert len(queue._heap) < 3 * _COMPACT_MIN_CANCELLED  # compacted
+        assert queue.cancelled_backlog == 600 - keepers
         queue.run()
-        assert ran == [i for i in range(3 * _COMPACT_MIN_CANCELLED) if i % 3 == 0]
+        assert ran == [i for i in range(600) if i % 3 == 0]
         assert queue.processed == keepers
         assert queue.pending == 0
+        assert queue.cancelled_backlog == 0
 
-    def test_compaction_during_run_keeps_heap_identity(self):
-        # run() holds a local reference to the heap list, so compaction
-        # triggered by an action cancelling timers must happen in place.
+    def test_mass_cancel_during_run(self):
+        # An action cancels every later timer and schedules one more
+        # event: only that event runs after it.
         queue = EventQueue()
         timers = [
             queue.schedule(10.0 + i, lambda: None)
-            for i in range(2 * _COMPACT_MIN_CANCELLED + 2)
+            for i in range(500)
         ]
         ran = []
 
@@ -153,26 +174,25 @@ class TestCancellation:
         queue.run()
         assert ran == ["after"]
         assert queue.pending == 0
+        assert queue.cancelled_backlog == 0
 
     def test_cancel_after_run_is_a_noop(self):
         # Callers keep timer handles around (registration retries,
         # refresh timers); cancelling a handle whose event already ran
-        # must not corrupt the O(1) live/cancelled accounting.
+        # must not change the queue's live or cancelled counts.
         queue = EventQueue()
         stale = queue.schedule(1.0, lambda: None)
         live = queue.schedule(2.0, lambda: None)
-        queue.step()  # runs `stale`
-        assert stale.done and not stale.cancelled
+        queue.run(until=1.0)  # runs `stale`
         assert queue.pending == 1
         stale.cancel()
-        assert not stale.cancelled  # no-op: it already executed
         assert queue.pending == 1
         assert queue.cancelled_backlog == 0
         live.cancel()
         assert queue.pending == 0
 
     def test_cancel_after_run_loop_is_a_noop(self):
-        # Same property through run(), whose pop path is specialized.
+        # Same property after a full drain.
         queue = EventQueue()
         handles = [queue.schedule(float(i + 1), lambda: None) for i in range(4)]
         queue.run()
@@ -244,11 +264,8 @@ class TestRunUntil:
 
 class TestClock:
     def test_time_never_goes_backwards(self):
-        clock = SimClock()
-        clock._advance(5.0)
-        with pytest.raises(RuntimeError):
-            clock._advance(4.0)
-
-    def test_step_returns_false_when_empty(self):
         queue = EventQueue()
-        assert queue.step() is False
+        queue.schedule(4.0, lambda: None)
+        queue.clock._now = 5.0
+        with pytest.raises(RuntimeError, match="time went backwards"):
+            queue.run()

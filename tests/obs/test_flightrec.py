@@ -5,7 +5,12 @@ import pathlib
 
 import pytest
 
-from repro.experiment import Runner, SpecGrid, canonical_traffic_spec
+from repro.experiment import (
+    Runner,
+    SpecGrid,
+    SweepExecutor,
+    canonical_traffic_spec,
+)
 from repro.netsim.addressing import IPAddress
 from repro.netsim.node import Node
 from repro.netsim.packet import IPProto, Packet
@@ -235,15 +240,15 @@ class TestRunnerIntegration:
         assert last["action"] == trace.entries[-1].action
 
     def test_digest_neutral_with_ledger_and_flightrec_armed(self, tmp_path):
-        # The PR's acceptance pin: full telemetry on, canonical digest
-        # byte-identical to the golden value.
+        # Full telemetry on, through the sweep that writes the ledger:
+        # the canonical digest stays byte-identical to the golden value.
         ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
         with ledger:
-            runner = Runner(
+            sweep = SweepExecutor(
                 ledger=ledger,
                 flightrec_path=str(tmp_path / "flightrec.json"),
-            )
-            result = runner.run(canonical_traffic_spec())
+            ).run([canonical_traffic_spec()])
+        (result,) = sweep.results
         assert result.digest == GOLDEN_DIGEST
         assert result.trace_entries == GOLDEN_ENTRIES
-        assert ledger.appended == 1
+        assert ledger.appended == 3  # sweep-start, run, sweep-end

@@ -356,6 +356,39 @@ class TestModuleEntryPoint:
         assert "Out-IE" in result.stdout
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["modes"],
+        ["mega", "--hosts", "100", "--datagrams", "4"],
+    ], ids=["modes", "mega"])
+    def test_a_reader_gone_before_the_first_write_exits_141_quietly(
+            self, argv, unbuffered):
+        """Like ``repro-mobility modes | head -0``: stdout is a pipe
+        whose read end is already closed.  The command ends with
+        128+SIGPIPE and writes nothing to stderr, neither a traceback
+        nor an "Exception ignored" line from the exit-time flush."""
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (141, b"")
+
+
 class TestJsonOutToStdout:
     @pytest.mark.skipif(not os.path.exists("/dev/stdout"),
                         reason="needs /dev/stdout")
