@@ -72,9 +72,9 @@ class IPAddress:
     Instances are value objects: equality, ordering, and hashing follow
     the 32-bit integer value exactly as the original frozen-dataclass
     implementation did.  Construction from a previously seen string or
-    int returns a cached instance (the hash is precomputed once), which
-    makes dictionary-heavy code — routing tables, ARP caches, binding
-    caches — cheap.
+    int returns a cached instance (the hash and the dotted quad are
+    computed once, at construction), which makes dictionary-heavy code —
+    routing tables, ARP caches, binding caches — and tracing cheap.
     """
 
     __slots__ = ("value", "_hash", "_str")
@@ -104,6 +104,8 @@ class IPAddress:
         self = object.__new__(cls)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "_hash", hash(value))
+        object.__setattr__(self, "_str", f"{value >> 24}.{(value >> 16) & 0xFF}"
+                                         f".{(value >> 8) & 0xFF}.{value & 0xFF}")
         if type(address) in (str, int):
             if len(_INTERN_CACHE) >= _INTERN_CACHE_MAX:
                 _INTERN_CACHE.clear()
@@ -156,15 +158,9 @@ class IPAddress:
         return self.value
 
     def __str__(self) -> str:
-        # Instances are immutable and interned, so the dotted quad is
-        # computed once (tracing stringifies addresses per packet hop).
-        try:
-            return self._str
-        except AttributeError:
-            v = self.value
-            text = f"{(v >> 24) & 0xFF}.{(v >> 16) & 0xFF}.{(v >> 8) & 0xFF}.{v & 0xFF}"
-            object.__setattr__(self, "_str", text)
-            return text
+        # The dotted quad is built once, at construction: the trace
+        # records it on every packet event and reads ``_str`` directly.
+        return self._str
 
     def __repr__(self) -> str:
         return f"IPAddress('{self!s}')"
@@ -201,10 +197,12 @@ class Network:
 
     Like :class:`IPAddress` this is a ``__slots__`` value class with
     dataclass-style ``(prefix, prefix_len)`` equality, ordering, and
-    hashing.
+    hashing.  The mask and the directed-broadcast value are integers
+    fixed at construction, so the per-packet tests (route lookup, a
+    subnet-directed broadcast) are one integer comparison each.
     """
 
-    __slots__ = ("prefix", "prefix_len", "_mask")
+    __slots__ = ("prefix", "prefix_len", "_mask", "_broadcast")
 
     prefix: int
     prefix_len: int
@@ -234,6 +232,7 @@ class Network:
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "prefix_len", length)
         object.__setattr__(self, "_mask", mask)
+        object.__setattr__(self, "_broadcast", prefix | (~mask & 0xFFFFFFFF))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Network is immutable: cannot set {name!r}")
@@ -278,7 +277,7 @@ class Network:
 
     @property
     def netmask(self) -> IPAddress:
-        return IPAddress(self._mask_for(self.prefix_len))
+        return IPAddress(self._mask)
 
     @property
     def network_address(self) -> IPAddress:
@@ -286,7 +285,7 @@ class Network:
 
     @property
     def broadcast_address(self) -> IPAddress:
-        return IPAddress(self.prefix | (~self._mask_for(self.prefix_len) & 0xFFFFFFFF))
+        return IPAddress(self._broadcast)
 
     @property
     def num_addresses(self) -> int:
@@ -309,9 +308,9 @@ class Network:
     def hosts(self) -> Iterator[IPAddress]:
         """Iterate over usable host addresses (skips network & broadcast)."""
         first = self.prefix + 1
-        last = int(self.broadcast_address) - 1
+        last = self._broadcast - 1
         if self.prefix_len >= 31:  # point-to-point: use all addresses
-            first, last = self.prefix, int(self.broadcast_address)
+            first, last = self.prefix, self._broadcast
         for value in range(first, last + 1):
             yield IPAddress(value)
 

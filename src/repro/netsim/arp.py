@@ -68,7 +68,8 @@ class ArpService:
 
     def __init__(self, node: "Node"):
         self.node = node
-        self._caches: Dict[str, Dict[IPAddress, ArpEntry]] = {}
+        # Per interface name: the integer value of an address -> entry.
+        self._caches: Dict[str, Dict[int, ArpEntry]] = {}
         self._pending: Dict[Tuple[str, IPAddress], List[Packet]] = {}
         # Addresses this node answers ARP for on behalf of others
         # (the home agent's proxy entries), per interface name.
@@ -82,17 +83,15 @@ class ArpService:
     # ------------------------------------------------------------------
     # Cache access
     # ------------------------------------------------------------------
-    def _cache(self, iface: Interface) -> Dict[IPAddress, ArpEntry]:
-        return self._caches.setdefault(iface.name, {})
-
     def lookup(self, iface: Interface, ip: IPAddress) -> Optional[LinkAddress]:
-        entry = self._cache(iface).get(ip)
+        entry = self._caches.get(iface.name, {}).get(ip.value)
         if entry is not None and entry.fresh(self.node.now):
             return entry.link_address
         return None
 
     def learn(self, iface: Interface, ip: IPAddress, link: LinkAddress) -> None:
-        self._cache(iface)[ip] = ArpEntry(link, self.node.now)
+        cache = self._caches.setdefault(iface.name, {})
+        cache[ip.value] = ArpEntry(link, self.node.now)
         self._flush_pending(iface, ip, link)
 
     def flush(self) -> None:
@@ -153,10 +152,17 @@ class ArpService:
         If the link address is unknown, the packet is queued and an ARP
         request is broadcast; the queue drains when the reply arrives.
         """
-        link = self.lookup(iface, next_hop)
-        if link is not None:
-            iface.transmit(Frame(iface.link_address, link, packet, kind="ip"))
-            return
+        # :meth:`lookup`, inline: this runs once per unicast frame.
+        cache = self._caches.get(iface.name)
+        if cache is not None:
+            entry = cache.get(next_hop.value)
+            if entry is not None and (
+                self.node.simulator.clock._now - entry.learned_at
+                < ARP_CACHE_LIFETIME
+            ):
+                iface.transmit(
+                    Frame(iface.link_address, entry.link_address, packet, "ip"))
+                return
         key = (iface.name, next_hop)
         queue = self._pending.setdefault(key, [])
         if len(queue) >= ARP_MAX_PENDING:

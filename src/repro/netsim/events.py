@@ -16,7 +16,8 @@ tie before a comparison could reach the event.  :class:`Event` is a
 Cancellation is lazy.  :meth:`Event.cancel` only sets a flag; the entry
 stays in the heap until :meth:`EventQueue.run` pops and discards it.
 :attr:`EventQueue.pending` and :attr:`EventQueue.cancelled_backlog`
-scan the heap when read, so they are exact at every moment, also from
+scan the heap when read, and :attr:`EventQueue.dispatched` derives
+from three counts, so all three are exact at every moment, also from
 inside an action.  Only tests and the observers (the engine sampler
 and the flight recorder) read them, and the heap stays small: no
 workload builds more than a few hundred entries or holds more than a
@@ -92,6 +93,8 @@ class EventQueue:
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self.processed = 0
+        # Cancelled entries run() popped and dropped without running.
+        self._discarded = 0
 
     def schedule(
         self,
@@ -143,6 +146,16 @@ class EventQueue:
         """Cancelled entries still in the heap (a heap scan)."""
         return sum(1 for entry in self._heap if entry[2].cancelled)
 
+    @property
+    def dispatched(self) -> int:
+        """Events popped to run so far, the running one included.
+
+        Every event ever scheduled is still in the heap, was discarded
+        cancelled, or was dispatched.  Unlike :attr:`processed`, this is
+        exact also inside an action.
+        """
+        return self._seq - len(self._heap) - self._discarded
+
     def run(self, until: Optional[float] = None, max_events: int = 1_000_000) -> float:
         """Drain the queue, optionally stopping at time ``until``.
 
@@ -157,7 +170,7 @@ class EventQueue:
         the at-most-one over-horizon event rather than peeking every
         iteration, advances the clock inline, and adds to ``processed``
         once, in a ``finally``: read from inside an action, it is the
-        count as of this run's entry.
+        count as of this run's entry (:attr:`dispatched` is exact there).
         """
         heap = self._heap
         clock = self.clock
@@ -176,6 +189,7 @@ class EventQueue:
                 entry = pop(heap)
                 event = entry[2]
                 if event.cancelled:
+                    self._discarded += 1
                     continue
                 time = entry[0]
                 if time > horizon:

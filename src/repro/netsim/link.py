@@ -62,20 +62,29 @@ def fresh_link_address() -> LinkAddress:
     return LinkAddress(value)
 
 
-@dataclass
 class Frame:
-    """A link-layer frame carrying either an IP packet or an ARP message."""
+    """A link-layer frame carrying either an IP packet or an ARP message.
 
-    src: LinkAddress
-    dst: LinkAddress
-    payload: Any                     # Packet or ArpMessage
-    kind: str = "ip"                 # "ip" | "arp"
+    ``wire_size`` is fixed when the frame is built: a packet's size
+    never changes once it is handed to the link layer.
+    """
 
-    @property
-    def wire_size(self) -> int:
-        if isinstance(self.payload, Packet):
-            return self.payload.wire_size + 14  # Ethernet header
-        return 42  # ARP packet in a minimum-size Ethernet frame
+    __slots__ = ("src", "dst", "payload", "kind", "wire_size")
+
+    def __init__(
+        self,
+        src: LinkAddress,
+        dst: LinkAddress,
+        payload: Any,                # Packet ("ip") or ArpMessage ("arp")
+        kind: str = "ip",
+    ):
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.kind = kind
+        # An Ethernet header on the packet, or an ARP message in a
+        # minimum-size Ethernet frame.
+        self.wire_size = payload.wire_size + 14 if kind == "ip" else 42
 
 
 class Interface:
@@ -143,11 +152,11 @@ class Interface:
         if self.segment is not None:
             self.detach()
         self.segment = segment
-        segment._interfaces[self.link_address] = self
+        segment._interfaces[self.link_address.value] = self
 
     def detach(self) -> None:
         if self.segment is not None:
-            self.segment._interfaces.pop(self.link_address, None)
+            self.segment._interfaces.pop(self.link_address.value, None)
             self.segment = None
 
     def transmit(self, frame: Frame) -> None:
@@ -240,7 +249,11 @@ class Segment:
         self.loss_rate = loss_rate
         self.up = True
         self.queue_capacity = queue_capacity
-        self._interfaces: Dict[LinkAddress, Interface] = {}
+        # Attached interfaces by the integer value of their link address.
+        self._interfaces: Dict[int, Interface] = {}
+        # Event labels, formatted once rather than per frame.
+        self._deliver_label = f"link:{name}"
+        self._line_free_label = f"link-free:{name}"
         self._queue: Deque[Tuple[Interface, Frame]] = deque()
         # True while a frame is serializing on the line (queueing mode).
         self._line_busy = False
@@ -322,7 +335,7 @@ class Segment:
             self.simulator.trace.note_link_bytes(self.name, size)
             delay = self.latency + (size * 8) / self.bandwidth
             self.simulator.events.schedule(
-                delay, self._deliver, sender, frame, label=f"link:{self.name}"
+                delay, self._deliver, sender, frame, label=self._deliver_label
             )
             return
         if self._line_busy:
@@ -360,10 +373,10 @@ class Segment:
         self._line_busy = True
         self.simulator.events.schedule(
             self.latency + serialization, self._deliver, sender, frame,
-            label=f"link:{self.name}",
+            label=self._deliver_label,
         )
         self.simulator.events.schedule(
-            serialization, self._line_free, label=f"link-free:{self.name}"
+            serialization, self._line_free, label=self._line_free_label
         )
 
     def _line_free(self) -> None:
@@ -408,13 +421,14 @@ class Segment:
         return dropped
 
     def _deliver(self, sender: Interface, frame: Frame) -> None:
-        if frame.dst == BROADCAST_LINK_ADDR:
+        dst = frame.dst.value
+        if dst == BROADCAST_LINK_ADDR.value:
             # Snapshot: receivers may attach/detach interfaces in response.
             for iface in list(self._interfaces.values()):
                 if iface is not sender:
                     iface.receive(frame)
             return
-        target = self._interfaces.get(frame.dst)
+        target = self._interfaces.get(dst)
         if target is not None and target is not sender:
             target.receive(frame)
             return

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
-from .addressing import IPAddress, UNSPECIFIED
+from .addressing import IPAddress
 from .arp import ArpMessage, ArpService
 from .fragmentation import (
     FragmentationNeeded,
@@ -40,7 +40,7 @@ from .icmp import (
     make_icmp_packet,
     unreachable_for,
 )
-from .link import Frame, Interface, Segment
+from .link import BROADCAST_LINK_ADDR, Frame, Interface, Segment
 from .packet import IPProto, Packet
 from .routing import RoutingTable
 
@@ -136,9 +136,15 @@ class Node:
         return self.interfaces[name]
 
     def owns_address(self, ip: IPAddress) -> bool:
+        """True if any interface holds ``ip``, as primary or secondary."""
+        value = ip.value
         for iface in self.interfaces.values():
-            if iface.owns(ip):
+            own = iface.ip
+            if own is not None and own.value == value:
                 return True
+            for secondary in iface.secondary_ips:
+                if secondary.value == value:
+                    return True
         return False
 
     @property
@@ -171,7 +177,9 @@ class Node:
         normal routing table.
         """
         self.packets_sent += 1
-        self.trace.note(self.now, self.name, "send", packet)
+        trace = self.simulator.trace
+        now = self.simulator.clock._now
+        trace.note(now, self.name, "send", packet)
 
         if not bypass_overrides:
             for override in self.route_overrides:
@@ -179,13 +187,16 @@ class Node:
                 if target is None:
                     continue
                 if isinstance(target, VirtualRoute):
-                    self.trace.note(
-                        self.now, self.name, "virtual-route", packet,
+                    trace.note(
+                        now, self.name, "virtual-route", packet,
                         detail=target.name,
                     )
                     target.handler(packet)
                     return
-                self._transmit_via(packet, target)
+                self._transmit_via(
+                    packet, self.interfaces.get(target.interface),
+                    target.next_hop, target.src_override,
+                )
                 return
 
         # Local delivery short-circuit (loopback semantics).
@@ -198,35 +209,47 @@ class Node:
         # Multicast/broadcast need no route: transmit on the first live
         # interface (hosts here have one; §6.4's point is precisely that
         # the mobile host should use its *current physical* interface).
-        if packet.dst.is_multicast or packet.dst.is_broadcast:
+        value = packet.dst.value
+        if value >> 28 == 0xE or value == 0xFFFFFFFF:  # multicast, broadcast
             for iface in self.interfaces.values():
                 if iface.up and iface.segment is not None:
                     self._link_send(iface, packet, None)
                     return
-            self.trace.note(self.now, self.name, "drop", packet, detail="no-interface")
+            trace.note(now, self.name, "drop", packet, detail="no-interface")
             return
 
         route = self.routes.lookup(packet.dst)
         if route is None:
-            self.trace.note(self.now, self.name, "drop", packet, detail="no-route")
+            trace.note(now, self.name, "drop", packet, detail="no-route")
             return
         self._transmit_via(
-            packet, PhysicalRoute(route.interface, route.gateway)
+            packet, self.interfaces.get(route.interface), route.gateway
         )
 
-    def _transmit_via(self, packet: Packet, target: PhysicalRoute) -> None:
-        iface = self.interfaces.get(target.interface)
-        if iface is None or iface.segment is None:
+    def _transmit_via(
+        self,
+        packet: Packet,
+        iface: Optional[Interface],
+        next_hop: Optional[IPAddress],
+        src_override: Optional[IPAddress] = None,
+    ) -> None:
+        """Send ``packet`` out ``iface`` (``None`` when the route named
+        an interface this node lacks), fragmenting to its MTU."""
+        segment = None if iface is None else iface.segment
+        if segment is None:
             self.trace.note(
                 self.now, self.name, "drop", packet, detail="interface-down"
             )
             return
-        if target.src_override is not None:
-            packet.src = IPAddress(target.src_override)
-        if packet.src == UNSPECIFIED and iface.ip is not None:
+        if src_override is not None:
+            packet.src = IPAddress(src_override)
+        if packet.src.value == 0 and iface.ip is not None:  # 0.0.0.0
             packet.src = iface.ip
 
-        mtu = iface.segment.mtu
+        mtu = segment.mtu
+        if packet.wire_size <= mtu:
+            self._link_send(iface, packet, next_hop)
+            return
         try:
             pieces = fragment(packet, mtu)
         except FragmentationNeeded:
@@ -241,14 +264,13 @@ class Node:
                 detail=f"into {len(pieces)} pieces (mtu {mtu})",
             )
         for piece in pieces:
-            self._link_send(iface, piece, target.next_hop)
+            self._link_send(iface, piece, next_hop)
 
     def _link_send(
         self, iface: Interface, packet: Packet, next_hop: Optional[IPAddress]
     ) -> None:
-        if packet.dst.is_multicast or packet.dst.is_broadcast:
-            from .link import BROADCAST_LINK_ADDR
-
+        value = packet.dst.value
+        if value >> 28 == 0xE or value == 0xFFFFFFFF:  # multicast, broadcast
             iface.transmit(Frame(iface.link_address, BROADCAST_LINK_ADDR, packet))
             return
         hop = next_hop if next_hop is not None else packet.dst
@@ -301,19 +323,22 @@ class Node:
         self.ip_input(iface, packet)
 
     def ip_input(self, iface: Interface, packet: Packet) -> None:
-        if packet.dst.is_multicast:
-            if packet.dst in self.multicast_groups:
+        # Integer tests on the destination: multicast (224/4), then the
+        # limited or this subnet's directed broadcast.
+        dst = packet.dst
+        value = dst.value
+        if value >> 28 == 0xE:
+            if dst in self.multicast_groups:
                 self._local_deliver(packet)
-            elif self.forwarding:
-                pass  # no multicast routing in this simulator
+            # Otherwise ignored, by routers too: no multicast routing.
             return
-        if packet.dst.is_broadcast or (
-            iface.network is not None
-            and packet.dst == iface.network.broadcast_address
+        network = iface.network
+        if value == 0xFFFFFFFF or (
+            network is not None and value == network._broadcast
         ):
             self._local_deliver(packet)
             return
-        if self.owns_address(packet.dst):
+        if self.owns_address(dst):
             self._local_deliver(packet)
             return
         if self.forwarding:
@@ -343,10 +368,12 @@ class Node:
         )
 
     def _local_deliver(self, packet: Packet) -> None:
-        whole = self.reassembler.accept(packet, self.now)
+        trace = self.simulator.trace
+        now = self.simulator.clock._now
+        whole = self.reassembler.accept(packet, now)
         if whole is None:
-            self.trace.note(
-                self.now, self.name, "fragment-held", packet, detail="awaiting more"
+            trace.note(
+                now, self.name, "fragment-held", packet, detail="awaiting more"
             )
             return
         # Loose source routing (RFC 791 / paper §4): a packet addressed
@@ -359,14 +386,14 @@ class Node:
             next_hop = whole.source_route[whole.route_pointer]
             whole.route_pointer += 1
             whole.dst = next_hop
-            self.trace.note(
-                self.now, self.name, "source-route", whole,
+            trace.note(
+                now, self.name, "source-route", whole,
                 detail=f"next hop {next_hop}",
             )
             self.ip_send(whole, bypass_overrides=True)
             return
         self.packets_received += 1
-        self.trace.note(self.now, self.name, "deliver", whole)
+        trace.note(now, self.name, "deliver", whole)
         handler = self.proto_handlers.get(whole.proto)
         if handler is not None:
             handler(whole)

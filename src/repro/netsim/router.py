@@ -42,7 +42,7 @@ from .icmp import (
     unreachable_for,
 )
 from .link import Interface
-from .node import Node, PhysicalRoute
+from .node import Node
 from .packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -71,42 +71,57 @@ class Router(Node):
         self.packets_forwarded = 0
         self.send_icmp_errors = True
 
+    # Plain routers accept everything, so :meth:`forward` calls the
+    # policy hooks only on a class that overrides one of them.
+    _has_policy = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._has_policy = (cls.check_policy is not Router.check_policy
+                           or cls.check_egress is not Router.check_egress)
+
     def forward(self, in_iface: Interface, packet: Packet) -> None:
+        # One hop is one instant: read the clock and the trace once.
+        sim = self.simulator
+        trace = sim.trace
+        now = sim.clock._now
         if packet.ttl <= 1:
-            self.trace.note(self.now, self.name, "drop", packet, detail="ttl-exceeded")
+            trace.note(now, self.name, "drop", packet, detail="ttl-exceeded")
             if self.send_icmp_errors:
                 self._send_time_exceeded(packet)
             return
-        verdict, reason = self.check_policy(in_iface, packet)
-        if verdict is Verdict.DROP:
-            self.trace.note(self.now, self.name, "drop", packet, detail=reason)
-            return
+        has_policy = self._has_policy
+        if has_policy:
+            verdict, reason = self.check_policy(in_iface, packet)
+            if verdict is Verdict.DROP:
+                trace.note(now, self.name, "drop", packet, detail=reason)
+                return
         route = self.routes.lookup(packet.dst)
         if route is None:
-            self.trace.note(self.now, self.name, "drop", packet, detail="no-route")
+            trace.note(now, self.name, "drop", packet, detail="no-route")
             if self.send_icmp_errors:
                 self._send_unreachable(packet)
             return
         out_iface = self.interfaces.get(route.interface)
         if out_iface is None:
-            self.trace.note(self.now, self.name, "drop", packet, detail="bad-route")
+            trace.note(now, self.name, "drop", packet, detail="bad-route")
             return
-        verdict, reason = self.check_egress(in_iface, out_iface, packet)
-        if verdict is Verdict.DROP:
-            self.trace.note(self.now, self.name, "drop", packet, detail=reason)
-            return
+        if has_policy:
+            verdict, reason = self.check_egress(in_iface, out_iface, packet)
+            if verdict is Verdict.DROP:
+                trace.note(now, self.name, "drop", packet, detail=reason)
+                return
         packet.ttl -= self.ttl_decrement
         self.packets_forwarded += 1
-        self.trace.note(self.now, self.name, "forward", packet)
-        target = PhysicalRoute(route.interface, route.gateway)
-        if packet.has_options and self.option_processing_delay > 0:
+        trace.note(now, self.name, "forward", packet)
+        if packet.source_route and self.option_processing_delay > 0:
             # Slow path for option-bearing packets (§4).
-            self.simulator.events.schedule(
+            sim.events.schedule(
                 self.option_processing_delay, self._transmit_via, packet,
-                target, label=f"{self.name}:slow-path",
+                out_iface, route.gateway, label=f"{self.name}:slow-path",
             )
         else:
-            self._transmit_via(packet, target)
+            self._transmit_via(packet, out_iface, route.gateway)
 
     # Policy hooks — plain routers accept everything.
     def check_policy(
@@ -219,20 +234,17 @@ class BoundaryRouter(Router):
             raise ValueError(f"no interface {iface_name} on {self.name}")
         self._inside_ifaces.add(iface_name)
 
-    def is_inside(self, iface: Interface) -> bool:
-        return iface.name in self._inside_ifaces
-
     def _crossing(
         self, in_iface: Interface, out_iface: Optional[Interface]
     ) -> Optional[Direction]:
         """Direction of boundary crossing, or None when not crossing."""
+        inside = self._inside_ifaces
+        arriving_inside = in_iface.name in inside
         if out_iface is None:
             # Ingress check happens before the route lookup; classify by
             # the arrival side only.
-            return Direction.INBOUND if not self.is_inside(in_iface) else Direction.OUTBOUND
-        arriving_inside = self.is_inside(in_iface)
-        leaving_inside = self.is_inside(out_iface)
-        if arriving_inside == leaving_inside:
+            return Direction.OUTBOUND if arriving_inside else Direction.INBOUND
+        if arriving_inside == (out_iface.name in inside):
             return None  # stays on one side: no boundary crossing
         return Direction.OUTBOUND if arriving_inside else Direction.INBOUND
 

@@ -47,11 +47,33 @@ class Route:
         return f"{self.prefix} dev {self.interface} {via} metric {self.metric}"
 
 
+def _lookup_rank(route: Route) -> tuple:
+    return (-route.prefix.prefix_len, route.metric)
+
+
 class RoutingTable:
-    """A longest-prefix-match routing table."""
+    """A longest-prefix-match routing table.
+
+    The table is kept in lookup order: longest prefix first, then
+    lowest metric, then the order routes were added.  :meth:`lookup`
+    therefore returns the first route whose prefix contains the
+    destination, with one mask test per route and no ranking.
+    """
 
     def __init__(self, routes: Iterable[Route] = ()):
-        self._routes: List[Route] = list(routes)
+        self._routes: List[Route] = []
+        for route in routes:
+            self._insert(route)
+
+    def _insert(self, route: Route) -> None:
+        # After every route that ranks the same or better, so among
+        # equal routes the first added stays first.
+        key = _lookup_rank(route)
+        routes = self._routes
+        index = len(routes)
+        while index and _lookup_rank(routes[index - 1]) > key:
+            index -= 1
+        routes.insert(index, route)
 
     def add(
         self,
@@ -62,7 +84,7 @@ class RoutingTable:
     ) -> Route:
         route = Route(Network(prefix) if not isinstance(prefix, Network) else prefix,
                       interface, gateway, metric)
-        self._routes.append(route)
+        self._insert(route)
         return route
 
     def add_default(self, interface: str, gateway: IPAddress) -> Route:
@@ -78,21 +100,14 @@ class RoutingTable:
         self._routes.clear()
 
     def lookup(self, destination: IPAddress) -> Optional[Route]:
-        """Longest-prefix match; ties broken by lowest metric."""
-        best: Optional[Route] = None
+        """Longest-prefix match; ties broken by lowest metric, then by
+        the route added first."""
+        value = destination.value
         for route in self._routes:
-            if not route.prefix.contains(destination):
-                continue
-            if best is None:
-                best = route
-            elif route.prefix.prefix_len > best.prefix.prefix_len:
-                best = route
-            elif (
-                route.prefix.prefix_len == best.prefix.prefix_len
-                and route.metric < best.metric
-            ):
-                best = route
-        return best
+            prefix = route.prefix
+            if value & prefix._mask == prefix.prefix:
+                return route
+        return None
 
     def lookup_or_raise(self, destination: IPAddress) -> Route:
         route = self.lookup(destination)
@@ -102,13 +117,11 @@ class RoutingTable:
 
     @property
     def routes(self) -> List[Route]:
+        """Every route, in lookup order."""
         return list(self._routes)
 
     def __len__(self) -> int:
         return len(self._routes)
 
     def __str__(self) -> str:
-        ordered = sorted(
-            self._routes, key=lambda r: (-r.prefix.prefix_len, r.metric)
-        )
-        return "\n".join(str(route) for route in ordered) or "(empty table)"
+        return "\n".join(str(route) for route in self._routes) or "(empty table)"

@@ -94,10 +94,11 @@ class TraceLog:
             self.drops_by_reason[detail] += 1
         elif action == "lost":
             self.losses_by_reason[detail] += 1
-        # TraceEntry(...) would add a Python-level frame per event.
+        # TraceEntry(...) would add a Python-level frame per event, and
+        # str(address) one per address: ``_str`` is the same text.
         entry = tuple.__new__(TraceEntry, (
             time, node, action, packet.proto._name_, packet.trace_id,
-            str(packet.src), str(packet.dst), packet.wire_size, detail,
+            packet.src._str, packet.dst._str, packet.wire_size, detail,
         ))
         self.entries.append(entry)
         for subscriber in self.subscribers:

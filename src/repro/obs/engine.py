@@ -119,9 +119,8 @@ class EngineSampler:
             "heap": heap,
             "cancelled": cancelled,
             "cancelled_ratio": (cancelled / heap) if heap else 0.0,
-            # run() adds to it once, on return: as of the enclosing
-            # run()'s entry when sampled from the timer, exact between runs.
-            "processed": events.processed,
+            # Exact also from the sampler's own timer, whose tick counts.
+            "processed": events.dispatched,
             "nodes": nodes,
             "links": links,
         }

@@ -214,7 +214,7 @@ class InvariantMonitor:
             state = self._states[trace_id] = _TraceState()
         state.last_time = time
         state.last_action = action
-        if packet.dst.is_multicast or packet.dst.is_broadcast:
+        if packet.dst.value >> 28 == 0xE or packet.dst.value == 0xFFFFFFFF:  # multicast/broadcast
             state.exempt = True
 
         if action in _PHASE_ACTIONS:

@@ -134,6 +134,21 @@ class TestCancellation:
         assert seen == [(1, 1, 2)]
         assert queue.processed == 3
 
+    def test_dispatched_counts_every_run_event_inside_an_action(self):
+        # ``processed`` is batched per run(); ``dispatched`` is exact
+        # inside an action (the running event included) and never
+        # counts a cancelled event or one left past the horizon.
+        queue = EventQueue()
+        seen = []
+        queue.schedule(1.0, lambda: None)
+        queue.schedule(1.5, lambda: None).cancel()
+        queue.schedule(2.0, lambda: seen.append(queue.dispatched))
+        queue.schedule(3.0, lambda: seen.append(queue.dispatched))
+        queue.schedule(9.0, lambda: None)
+        queue.run(until=5.0)
+        assert seen == [2, 3]
+        assert queue.dispatched == queue.processed == 3
+
     def test_cancelled_events_never_fire_after_a_mass_cancel(self):
         # Cancel two of every three of many events: no cancelled
         # callback runs, processed/pending stay exact, and survivors

@@ -10,10 +10,13 @@ from repro.netsim import (
     Node,
     Packet,
     PhysicalRoute,
+    Router,
     Simulator,
     VirtualRoute,
 )
+from repro.netsim.filters import Verdict
 from repro.netsim.icmp import IcmpType
+from repro.netsim.link import BROADCAST_LINK_ADDR
 from repro.netsim.packet import IPProto
 
 
@@ -46,6 +49,88 @@ class TestLocalDelivery:
         a.ip_send(udp("192.168.1.1", "192.168.1.99"))
         sim.run()
         assert sim.trace.drops_by_reason.get("not-mine") == 1
+
+
+def routed_lans(sim, router):
+    """Put ``router`` between 192.168.1.0/24 and 192.168.2.0/24 (.254 on
+    each), with a host at .1 on each side; returns (near, far)."""
+    hosts = []
+    for index in (1, 2):
+        prefix = Network(f"192.168.{index}.0/24")
+        segment = sim.segment(f"lan{index}")
+        router.add_interface(f"eth{index}", segment).configure(
+            IPAddress(f"192.168.{index}.254"), prefix)
+        router.routes.add(prefix, f"eth{index}")
+        host = Node(f"host{index}", sim)
+        host.add_interface("eth0", segment).configure(
+            IPAddress(f"192.168.{index}.1"), prefix)
+        host.routes.add(prefix, "eth0")
+        host.routes.add_default("eth0", IPAddress(f"192.168.{index}.254"))
+        hosts.append(host)
+    return hosts[0], hosts[1]
+
+
+class TestAddressClasses:
+    """``ip_input``'s destination tests: broadcast, secondary, owned."""
+
+    @staticmethod
+    def received(node):
+        seen = []
+        node.proto_handlers[IPProto.UDP] = seen.append
+        return seen
+
+    def test_limited_broadcast_delivered_locally(self, lan):
+        sim, _segment, a, b = lan
+        seen_a, seen_b = self.received(a), self.received(b)
+        a.ip_send(udp("192.168.1.1", "255.255.255.255"))
+        sim.run()
+        assert [p.dst for p in seen_b] == [IPAddress("255.255.255.255")]
+        assert seen_a == []  # a segment never hands a frame to its sender
+
+    def test_subnet_directed_broadcast_delivered_locally(self, lan):
+        sim, _segment, a, b = lan
+        seen = self.received(b)
+        a.arp.learn(a.interfaces["eth0"], IPAddress("192.168.1.255"),
+                    BROADCAST_LINK_ADDR)
+        a.ip_send(udp("192.168.1.1", "192.168.1.255"))
+        sim.run()
+        assert [p.dst for p in seen] == [IPAddress("192.168.1.255")]
+        assert sim.trace.drops_by_reason.get("not-mine") is None
+
+    def test_router_delivers_broadcast_to_arrival_subnet(self, sim):
+        router = Router("gw", sim)
+        host, _far_host = routed_lans(sim, router)
+        host.arp.learn(host.interfaces["eth0"], IPAddress("192.168.1.255"),
+                       BROADCAST_LINK_ADDR)
+        seen = self.received(router)
+        host.ip_send(udp("192.168.1.1", "192.168.1.255"))
+        host.ip_send(udp("192.168.1.1", "255.255.255.255"))
+        sim.run()
+        assert [str(p.dst) for p in seen] == ["192.168.1.255", "255.255.255.255"]
+        assert router.packets_forwarded == 0
+        assert sim.trace.action_counts["forward"] == 0
+
+    def test_secondary_address_delivered_locally(self, lan):
+        sim, _segment, a, b = lan
+        seen = self.received(b)
+        home = IPAddress("10.9.0.7")
+        b.interfaces["eth0"].add_secondary(home)
+        a.arp.learn(a.interfaces["eth0"], home, b.interfaces["eth0"].link_address)
+        a.routes.add(Network("10.9.0.0/16"), "eth0")
+        a.ip_send(udp("192.168.1.1", str(home)))
+        sim.run()
+        assert [p.dst for p in seen] == [home]
+
+    def test_owns_address_primary_secondary_and_deconfigured(self, lan):
+        _sim, _segment, _a, b = lan
+        iface = b.interfaces["eth0"]
+        iface.add_secondary(IPAddress("10.9.0.7"))
+        assert b.owns_address(IPAddress("192.168.1.2"))
+        assert b.owns_address(IPAddress("10.9.0.7"))
+        assert not b.owns_address(IPAddress("192.168.1.1"))
+        iface.deconfigure()
+        assert not b.owns_address(IPAddress("192.168.1.2"))
+        assert not b.owns_address(IPAddress("10.9.0.7"))
 
 
 class TestRouteOverrides:
@@ -117,6 +202,18 @@ class TestForwarding:
         a.ip_send(udp(str(ip_a), "172.30.0.1"))
         sim.run()
         assert IcmpType.DEST_UNREACHABLE in errors
+
+    def test_policy_hook_override_is_called(self, sim):
+        class Sealed(Router):
+            def check_egress(self, in_iface, out_iface, packet):
+                return Verdict.DROP, "sealed"
+
+        assert not Router._has_policy and Sealed._has_policy
+        host, _far_host = routed_lans(sim, Sealed("gw", sim))
+        host.ip_send(udp("192.168.1.1", "192.168.2.1"))
+        sim.run()
+        assert sim.trace.drops_by_reason.get("sealed") == 1
+        assert sim.trace.action_counts["forward"] == 0
 
 
 class TestBoundaryRouter:

@@ -1,7 +1,7 @@
 """Tests for longest-prefix-match routing tables."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.addressing import IPAddress, Network
@@ -88,3 +88,62 @@ class TestMutation:
 
     def test_empty_table_renders_placeholder(self):
         assert "empty" in str(RoutingTable())
+
+
+# Prefix bases that nest and collide, so random tables hold overlapping
+# prefixes, duplicate prefixes and metric ties.
+_BASES = (0x0A000000, 0x0A010000, 0x0A010200, 0x0A0102FF, 0xC0A80100, 0xFFFFFFFF)
+
+
+def _prefix(base: int, length: int) -> Network:
+    return Network(str(IPAddress(base & Network._mask_for(length))), length)
+
+
+_PREFIXES = st.builds(_prefix, st.sampled_from(_BASES), st.integers(0, 32))
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), _PREFIXES, st.integers(0, 2)),
+    st.tuples(st.just("remove"), _PREFIXES),
+    st.tuples(st.just("clear")),
+), max_size=40)
+_DESTINATIONS = st.lists(st.one_of(
+    st.sampled_from(_BASES), st.integers(0, 2**32 - 1)), min_size=1, max_size=8)
+
+
+def _reference_lookup(routes, destination):
+    """The brute-force scan over routes in the order they were added:
+    longest prefix, then lowest metric, then the first added."""
+    best = None
+    for route in routes:
+        if not route.prefix.contains(destination):
+            continue
+        if best is None or route.prefix.prefix_len > best.prefix.prefix_len or (
+            route.prefix.prefix_len == best.prefix.prefix_len
+            and route.metric < best.metric
+        ):
+            best = route
+    return best
+
+
+class TestLookupOrder:
+    @settings(max_examples=300)
+    @given(_OPS, _DESTINATIONS)
+    def test_lookup_picks_the_reference_route(self, ops, destinations):
+        destinations = [IPAddress(value) for value in (*_BASES, *destinations)]
+        table, added = RoutingTable(), []
+        for op in ops:
+            if op[0] == "add":
+                added.append(table.add(op[1], f"if{len(added)}", metric=op[2]))
+            elif op[0] == "remove":
+                removed = table.remove_prefix(op[1])
+                kept = [route for route in added if route.prefix != op[1]]
+                assert removed == len(added) - len(kept)
+                added = kept
+            else:
+                table.clear()
+                added = []
+            assert sorted(map(id, table.routes)) == sorted(map(id, added))
+            for destination in destinations:
+                assert table.lookup(destination) is _reference_lookup(added, destination)
+        rebuilt = RoutingTable(added)
+        for destination in destinations:
+            assert rebuilt.lookup(destination) is _reference_lookup(added, destination)

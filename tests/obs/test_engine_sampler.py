@@ -20,6 +20,25 @@ class TestEngineSampler:
         assert times[0] == pytest.approx(0.5)
         assert times == sorted(times)
 
+    def test_processed_is_exact_at_each_sample(self):
+        # Within one run() each sample counts every event dispatched so
+        # far: the workload's timed events plus the sampler's own ticks,
+        # the current one included.  A cancelled event never counts.
+        sim = Simulator(seed=3)
+        times = [0.15 + 0.4 * index for index in range(12)]  # no tick ties
+        for time in times:
+            sim.events.schedule(time, lambda: None)
+        sim.events.schedule(1.0, lambda: None).cancel()
+        sampler = EngineSampler(sim, cadence=0.5)
+        sampler.start()
+        sim.run(until=5.0)
+        sampler.stop()
+        processed = [sample["processed"] for sample in sampler.samples]
+        assert processed == [
+            tick + sum(1 for time in times if time < 0.5 * tick)
+            for tick in range(1, 11)]
+        assert processed[-1] == sim.events.processed == 12 + 10
+
     def test_invalid_cadence_rejected(self):
         with pytest.raises(ValueError):
             EngineSampler(Simulator(seed=3), cadence=0.0)
