@@ -270,7 +270,11 @@ class Node:
         self, iface: Interface, packet: Packet, next_hop: Optional[IPAddress]
     ) -> None:
         value = packet.dst.value
-        if value >> 28 == 0xE or value == 0xFFFFFFFF:  # multicast, broadcast
+        network = iface.network
+        # Multicast, limited broadcast, or this subnet's directed
+        # broadcast (RFC 1812 §5.3.5.2): a link-layer broadcast, no ARP.
+        if (value >> 28 == 0xE or value == 0xFFFFFFFF
+                or (network is not None and value == network._broadcast)):
             iface.transmit(Frame(iface.link_address, BROADCAST_LINK_ADDR, packet))
             return
         hop = next_hop if next_hop is not None else packet.dst

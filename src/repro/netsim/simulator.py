@@ -40,8 +40,8 @@ class Simulator:
         self._tokens = itertools.count(1)
         # Every run owns a metrics registry; components register pull
         # metrics into it at construction, so there is no per-event
-        # cost (see repro.obs.metrics).  The heavier span/engine layers
-        # stay off until enable_observability().
+        # cost (see repro.obs.metrics).  The span fold and engine
+        # sampler stay off until enable_observability().
         self.metrics = MetricsRegistry()
         self.obs: Optional["Observability"] = None
         self.invariants: Optional["InvariantMonitor"] = None
@@ -100,24 +100,20 @@ class Simulator:
     # Observability
     # ------------------------------------------------------------------
     def enable_observability(
-        self,
-        spans: bool = True,
-        engine_cadence: Optional[float] = 0.5,
+        self, engine_cadence: Optional[float] = 0.5
     ) -> "Observability":
-        """Turn on the span recorder and engine sampler for this run.
+        """Turn on the span fold and engine sampler for this run.
 
         The metrics registry is always live (it is pull-based and
-        free); this switch adds the per-event span layer and the
-        periodic engine gauges.  Returns the :class:`Observability`
-        handle, also kept on ``self.obs``.
+        free); this switch marks where the run's spans start in the
+        trace and adds the periodic engine gauges.  Returns the
+        :class:`Observability` handle, also kept on ``self.obs``.
         """
         if self.obs is not None:
             raise RuntimeError("observability is already enabled for this run")
         from ..obs import Observability
 
-        self.obs = Observability(
-            self, spans=spans, engine_cadence=engine_cadence
-        ).enable()
+        self.obs = Observability(self, engine_cadence=engine_cadence).enable()
         return self.obs
 
     def enable_invariants(self, **kwargs) -> "InvariantMonitor":

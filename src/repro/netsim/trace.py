@@ -7,16 +7,17 @@ collects a global record of packet fates that the analysis layer and
 the figure benchmarks query.
 
 Nodes call :meth:`TraceLog.note` as packets pass through them; each
-call appends one :class:`TraceEntry`.  The log answers per-datagram
-queries (path, delivered, dropped) by trace id, and keeps incremental
+call appends one :class:`TraceEntry`.  The log keeps incremental
 cross-packet aggregates: action counts, drop and loss reasons, and
-byte accounting per link.
+byte accounting per link.  Per-datagram facts (path, fate, bytes) are
+read after the run by folding the entries
+(:func:`repro.obs.spans.datagrams`).
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from collections import Counter
+from typing import Callable, List, NamedTuple
 
 from .packet import Packet
 
@@ -47,10 +48,10 @@ class TraceLog:
 
     Every :meth:`note` appends one :class:`TraceEntry` to
     :attr:`entries` and updates the aggregate counters.  Observers of
-    the live event stream (span recorder, invariant monitor, flight
-    recorder) :meth:`subscribe` a callable taking ``(entry, packet)``;
-    each event's entry is built once and handed to every subscriber in
-    subscription order.
+    the live event stream (invariant monitor, flight recorder)
+    :meth:`subscribe` a callable taking ``(entry, packet)``; each
+    event's entry is built once and handed to every subscriber in
+    subscription order.  A subscriber stays for the life of the log.
     """
 
     def __init__(self) -> None:
@@ -71,11 +72,6 @@ class TraceLog:
     def subscribe(self, subscriber: Subscriber) -> None:
         """Deliver every later event to ``subscriber(entry, packet)``."""
         self.subscribers.append(subscriber)
-
-    def unsubscribe(self, subscriber: Subscriber) -> None:
-        """Stop delivering to ``subscriber``; a no-op if not subscribed."""
-        if subscriber in self.subscribers:
-            self.subscribers.remove(subscriber)
 
     # ------------------------------------------------------------------
     # Recording
@@ -110,31 +106,6 @@ class TraceLog:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def entries_for(self, trace_id: int) -> List[TraceEntry]:
-        return [entry for entry in self.entries if entry.trace_id == trace_id]
-
-    def path_of(self, trace_id: int) -> Tuple[str, ...]:
-        """Node names that forwarded/delivered the logical datagram."""
-        return tuple(
-            entry.node
-            for entry in self.entries_for(trace_id)
-            if entry.action in ("forward", "deliver")
-        )
-
-    def delivered(self, trace_id: int) -> bool:
-        return any(
-            entry.action == "deliver" for entry in self.entries_for(trace_id)
-        )
-
-    def dropped(self, trace_id: int) -> bool:
-        return any(entry.action == "drop" for entry in self.entries_for(trace_id))
-
-    def drop_detail(self, trace_id: int) -> Optional[str]:
-        for entry in self.entries_for(trace_id):
-            if entry.action == "drop":
-                return entry.detail
-        return None
-
     @property
     def total_drops(self) -> int:
         return self.action_counts["drop"]
@@ -142,21 +113,6 @@ class TraceLog:
     @property
     def total_deliveries(self) -> int:
         return self.action_counts["deliver"]
-
-    def delivery_ratio(self, trace_ids: Iterable[int]) -> float:
-        """Fraction of the given logical datagrams that were delivered."""
-        ids = list(trace_ids)
-        if not ids:
-            return 0.0
-        return sum(1 for tid in ids if self.delivered(tid)) / len(ids)
-
-    def hop_counts(self) -> Dict[int, int]:
-        """trace_id -> number of forwarding hops."""
-        counts: Dict[int, int] = defaultdict(int)
-        for entry in self.entries:
-            if entry.action == "forward":
-                counts[entry.trace_id] += 1
-        return dict(counts)
 
     def summary(self) -> str:
         """A human-readable one-run summary (used by examples)."""

@@ -11,7 +11,8 @@ Three layers, each usable on its own:
   pull, so the hot path pays nothing.
 * :mod:`repro.obs.spans` — packet-lifecycle span trees following each
   logical datagram through encapsulation, fragmentation, and
-  reassembly, exportable as Chrome ``trace_event`` JSON.
+  reassembly, folded from the trace entries after the run and
+  exportable as Chrome ``trace_event`` JSON.
 * :mod:`repro.obs.engine` — sampled engine gauges: event-loop depth,
   heap size, cancelled-entry ratio, reassembly queue depths, per-link
   utilization.
@@ -19,15 +20,15 @@ Three layers, each usable on its own:
 :class:`Observability` bundles spans + sampler behind one switch.  It
 is **opt-in**: nothing here runs unless
 :meth:`~repro.netsim.simulator.Simulator.enable_observability` is
-called, and the disabled path is identical to the pre-observability
-simulator (the span recorder is a ``TraceLog.subscribe`` subscriber,
-and an empty subscriber list costs nothing).  Turning it on never
-moves a trace digest (``tests/experiment/test_runner.py``).
+called.  Arming it subscribes nothing to the trace: it notes where in
+``TraceLog.entries`` the run's spans start and folds them when a
+report asks, so turning it on never moves a trace digest
+(``tests/experiment/test_runner.py``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from .engine import DEFAULT_CADENCE, EngineSampler
 from .flightrec import DEFAULT_FLIGHT_LIMIT, FlightRecorder
@@ -40,7 +41,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .spans import Span, SpanRecorder
+from .spans import Span, datagrams, export_chrome_trace, summarize
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..netsim.simulator import Simulator
@@ -53,7 +54,7 @@ __all__ = [
     "LATENCY_BUCKETS",
     "SIZE_BUCKETS",
     "Span",
-    "SpanRecorder",
+    "datagrams",
     "EngineSampler",
     "FlightRecorder",
     "DEFAULT_FLIGHT_LIMIT",
@@ -68,41 +69,33 @@ class Observability:
     def __init__(
         self,
         sim: "Simulator",
-        spans: bool = True,
         engine_cadence: Optional[float] = DEFAULT_CADENCE,
     ):
         self.sim = sim
         self.registry = sim.metrics
-        self.spans: Optional[SpanRecorder] = SpanRecorder() if spans else None
         self.sampler: Optional[EngineSampler] = (
             EngineSampler(sim, cadence=engine_cadence)
             if engine_cadence is not None else None
         )
-        self.enabled = False
+        self._start = 0
 
     # ------------------------------------------------------------------
     def enable(self) -> "Observability":
-        if self.enabled:
-            return self
-        if self.spans is not None:
-            self.spans.attach(self.sim.trace)
+        """Start the spans at the next trace entry, and the sampler."""
+        self._start = len(self.sim.trace.entries)
         if self.sampler is not None:
             self.sampler.start()
-        self.enabled = True
         return self
 
     def finish(self) -> None:
-        """Stop sampling and close in-flight spans (idempotent)."""
+        """Stop sampling (idempotent)."""
         if self.sampler is not None:
             self.sampler.stop()
-        if self.spans is not None:
-            self.spans.finish(self.sim.now)
 
-    def disable(self) -> None:
-        self.finish()
-        if self.spans is not None:
-            self.spans.detach()
-        self.enabled = False
+    def spans(self) -> List[Span]:
+        """The span trees of every datagram noted since :meth:`enable`;
+        datagrams still in flight close at the current time."""
+        return datagrams(self.sim.trace.entries[self._start:], self.sim.now)
 
     # ------------------------------------------------------------------
     def report(self) -> Dict[str, Any]:
@@ -112,12 +105,10 @@ class Observability:
             "events_processed": self.sim.events.processed,
             "metrics": self.registry.collect(),
         }
-        if self.spans is not None:
-            out["spans"] = {
-                "count": len(self.spans.spans),
-                "open": self.spans.open_count,
-                "per_mode": self.spans.summarize(),
-            }
+        spans = self.spans()
+        # ``open`` stays in the report's format: every span is closed.
+        out["spans"] = {"count": len(spans), "open": 0,
+                        "per_mode": summarize(spans)}
         if self.sampler is not None:
             out["engine"] = {
                 "cadence": self.sampler.cadence,
@@ -127,6 +118,6 @@ class Observability:
         return out
 
     def export_chrome_trace(self, path) -> int:
-        if self.spans is None:
-            raise RuntimeError("span recording is not enabled")
-        return self.spans.export_chrome_trace(path)
+        """Write the spans as Chrome ``trace_event`` JSON; returns the
+        event count."""
+        return export_chrome_trace(self.spans(), path)

@@ -4,10 +4,10 @@ When a sweep cell, chaos run, or fuzz case ends in an invariant
 violation, the full trace is usually buried (a 260-second chaos run
 produces tens of thousands of entries).  The :class:`FlightRecorder`
 keeps a bounded ring buffer of the most recent trace events — a
-:meth:`~repro.netsim.trace.TraceLog.subscribe` subscriber like the span
-recorder and the invariant monitor, so an unarmed run pays nothing at
-all — and, on request, dumps the ring plus a snapshot of live engine
-state (event-queue depth, clock, per-node reassembly backlog, mobility
+:meth:`~repro.netsim.trace.TraceLog.subscribe` subscriber like the
+invariant monitor, so an unarmed run pays nothing at all — and, on
+request, dumps the ring plus a snapshot of live engine state
+(event-queue depth, clock, per-node reassembly backlog, mobility
 bindings, segment health) to a ``flightrec.json`` for postmortem.
 
 Digest neutrality is by construction: a subscriber only *reads* the
@@ -64,12 +64,6 @@ class FlightRecorder:
             raise RuntimeError("flight recorder is already attached")
         self._trace = trace
         trace.subscribe(self._record)
-
-    def detach(self) -> None:
-        if self._trace is None:
-            return
-        self._trace.unsubscribe(self._record)
-        self._trace = None
 
     def _record(self, entry: "TraceEntry", packet: "Packet") -> None:
         self.ring.append((entry, packet, packet.headers()))

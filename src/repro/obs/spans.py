@@ -2,8 +2,8 @@
 
 Every logical datagram in the simulator keeps one ``trace_id`` across
 encapsulation, tunneling, fragmentation, and reassembly (see
-:mod:`repro.netsim.packet`).  The :class:`SpanRecorder` turns that
-stream of per-packet trace events into a **span tree** per datagram:
+:mod:`repro.netsim.packet`).  :func:`datagrams` folds a run's trace
+entries, after the run, into a **span tree** per datagram:
 
 * a root span opens at the first ``send`` and closes at final delivery
   (or drop);
@@ -16,8 +16,9 @@ Parent/child links therefore mirror the encapsulation stack, which is
 exactly the structure the paper's byte-overhead arguments (§3.3) are
 about: the cost of a mode is the extra spans its packets travel inside.
 
-The recorder attaches as a :meth:`TraceLog.subscribe` subscriber, so a
-simulator with spans off pays nothing for them.
+The fold reads only the :class:`~repro.netsim.trace.TraceEntry` tuples
+the trace log keeps anyway, never a packet, so it runs when a report
+asks for it and a run pays nothing for spans while it runs.
 
 Spans export as Chrome ``trace_event`` JSON (load the file at
 ``chrome://tracing`` or https://ui.perfetto.dev) and summarize into
@@ -26,17 +27,19 @@ per-mode latency/overhead histograms.
 
 from __future__ import annotations
 
-import itertools
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
-from ..netsim.packet import IPProto, Packet
-from ..netsim.trace import TraceEntry, TraceLog
+from ..netsim.packet import IPProto
+from ..netsim.trace import TraceEntry
 from .metrics import LATENCY_BUCKETS, SIZE_BUCKETS, Histogram
 
-__all__ = ["Span", "SpanRecorder"]
+__all__ = ["Span", "datagrams", "chrome_trace", "export_chrome_trace",
+           "summarize"]
 
-_TUNNEL_PROTOS = frozenset((IPProto.IPIP, IPProto.GRE, IPProto.MINENC))
+# Outer-header protocol names (``TraceEntry.proto``) of a tunnel leg.
+_TUNNEL_PROTOS = frozenset(
+    proto.name for proto in (IPProto.IPIP, IPProto.GRE, IPProto.MINENC))
 
 
 class Span:
@@ -74,50 +77,41 @@ class Span:
                 f"[{self.start}..{self.end}])")
 
 
-class SpanRecorder:
-    """Builds span trees from the trace-event stream of one run."""
+def _close(span: Span, time: float, node: str) -> None:
+    span.end = time
+    span.args.setdefault("end_node", node)
 
-    def __init__(self) -> None:
-        self._ids = itertools.count(1)
-        self.spans: List[Span] = []
-        self._stacks: Dict[int, List[Span]] = {}
-        self._finished: set = set()
-        self._trace: Optional[TraceLog] = None
 
-    # ------------------------------------------------------------------
-    # Attachment
-    # ------------------------------------------------------------------
-    def attach(self, trace: TraceLog) -> None:
-        """Subscribe to ``trace``'s live event stream."""
-        if self._trace is not None:
-            raise RuntimeError("span recorder is already attached")
-        self._trace = trace
-        trace.subscribe(self.on_event)
+def datagrams(entries: Iterable[TraceEntry], end: float) -> List[Span]:
+    """Fold trace entries into one span tree per datagram.
 
-    def detach(self) -> None:
-        if self._trace is None:
-            return
-        self._trace.unsubscribe(self.on_event)
-        self._trace = None
+    Spans come out in the order they open, with ids 1..n.  Entries of a
+    trace id after its final ``deliver`` or its ``drop`` are ignored; a
+    datagram still in flight closes at ``end``, marked ``incomplete``.
+    """
+    spans: List[Span] = []
+    # trace id -> its open spans, root first; empty once it has ended.
+    stacks: Dict[int, List[Span]] = {}
 
-    # ------------------------------------------------------------------
-    # Event intake
-    # ------------------------------------------------------------------
-    def on_event(self, entry: TraceEntry, packet: Packet) -> None:
-        time, node, action, _, trace_id, src, dst, wire_size, detail = entry
-        if trace_id in self._finished:
-            return
-        stack = self._stacks.get(trace_id)
+    def open_span(parent_id, trace_id, name, cat, node, time) -> Span:
+        span = Span(len(spans) + 1, parent_id, trace_id, name, cat, node, time)
+        spans.append(span)
+        return span
+
+    for time, node, action, proto, trace_id, src, dst, wire_size, detail in entries:
+        stack = stacks.get(trace_id)
         if stack is None:
-            root = self._open(None, trace_id, f"datagram-{trace_id}",
-                              "packet", node, time)
+            root = open_span(None, trace_id, f"datagram-{trace_id}",
+                             "packet", node, time)
             root.args["src"] = src
             root.args["dst"] = dst
             root.args["base_bytes"] = wire_size
             root.args["max_bytes"] = wire_size
-            stack = self._stacks[trace_id] = [root]
+            stack = stacks[trace_id] = [root]
             if action == "send":
-                return
+                continue
+        elif not stack:
+            continue  # after its final delivery or its drop
         root = stack[0]
         if wire_size > root.args["max_bytes"]:
             root.args["max_bytes"] = wire_size
@@ -125,18 +119,18 @@ class SpanRecorder:
         if action == "mode-select":
             root.args["mode"] = detail
         elif action == "encapsulate":
-            span = self._open(stack[-1].span_id, trace_id, "tunnel",
-                              "encap", node, time)
+            span = open_span(stack[-1].span_id, trace_id, "tunnel", "encap",
+                             node, time)
             span.args["detail"] = detail
             stack.append(span)
         elif action == "decapsulate":
             for index in range(len(stack) - 1, 0, -1):
                 if stack[index].name == "tunnel":
-                    self._close(stack.pop(index), time, node)
+                    _close(stack.pop(index), time, node)
                     break
         elif action == "fragment":
-            span = self._open(stack[-1].span_id, trace_id, "fragmentation",
-                              "frag", node, time)
+            span = open_span(stack[-1].span_id, trace_id, "fragmentation",
+                             "frag", node, time)
             span.args["detail"] = detail
             stack.append(span)
             root.args["fragmented"] = True
@@ -147,147 +141,112 @@ class SpanRecorder:
         elif action == "deliver":
             if stack[-1].name == "fragmentation":
                 # Reassembly completed at the delivering node.
-                self._close(stack.pop(), time, node)
-            if packet.proto in _TUNNEL_PROTOS:
-                return  # outer delivery; the tunnel span closes at decapsulate
+                _close(stack.pop(), time, node)
+            if proto in _TUNNEL_PROTOS:
+                continue  # outer delivery; the tunnel span closes at decapsulate
             root.args["delivered"] = True
             while stack:
-                self._close(stack.pop(), time, node)
-            del self._stacks[trace_id]
-            self._finished.add(trace_id)
+                _close(stack.pop(), time, node)
         elif action == "drop":
             root.args["dropped"] = detail or "unknown"
             while stack:
-                self._close(stack.pop(), time, node)
-            del self._stacks[trace_id]
-            self._finished.add(trace_id)
+                _close(stack.pop(), time, node)
 
-    def finish(self, now: float) -> None:
-        """Close every still-open span (end of run, datagram in flight)."""
-        for trace_id, stack in list(self._stacks.items()):
+    for stack in stacks.values():
+        if stack:
             stack[0].args["incomplete"] = True
-            while stack:
-                span = stack.pop()
-                self._close(span, now, span.node)
-            del self._stacks[trace_id]
-            self._finished.add(trace_id)
+        while stack:
+            span = stack.pop()
+            _close(span, end, span.node)
+    return spans
 
-    def _open(
-        self,
-        parent_id: Optional[int],
-        trace_id: int,
-        name: str,
-        cat: str,
-        node: str,
-        time: float,
-    ) -> Span:
-        span = Span(next(self._ids), parent_id, trace_id, name, cat, node, time)
-        self.spans.append(span)
-        return span
 
-    def _close(self, span: Span, time: float, node: str) -> None:
-        span.end = time
-        span.args.setdefault("end_node", node)
+# ----------------------------------------------------------------------
+# Chrome trace_event export
+# ----------------------------------------------------------------------
+def chrome_trace(spans: List[Span]) -> Dict[str, Any]:
+    """The span set as a ``chrome://tracing``-loadable object.
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    @property
-    def open_count(self) -> int:
-        return sum(len(stack) for stack in self._stacks.values())
+    Every span becomes a complete ("ph": "X") event; timestamps are
+    microseconds of simulation time; the datagram's trace id is the
+    thread id so one datagram's spans share a row; parent links ride
+    in ``args`` (span_id/parent_id).
+    """
+    events: List[Dict[str, Any]] = [{
+        "name": "process_name", "ph": "M", "pid": 1, "tid": 0,
+        "args": {"name": "repro-mobility simulation"},
+    }]
+    for span in spans:
+        events.append({
+            "name": span.name,
+            "cat": span.cat,
+            "ph": "X",
+            "ts": span.start * 1e6,
+            "dur": (span.end - span.start) * 1e6,
+            "pid": 1,
+            "tid": span.trace_id,
+            "args": {
+                "span_id": span.span_id,
+                "parent_id": span.parent_id,
+                "node": span.node,
+                **span.args,
+            },
+        })
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
-    def roots(self) -> List[Span]:
-        return [span for span in self.spans if span.parent_id is None]
 
-    def tree(self, trace_id: int) -> List[Span]:
-        return [span for span in self.spans if span.trace_id == trace_id]
+def export_chrome_trace(spans: List[Span], path) -> int:
+    """Write the Chrome trace JSON; returns the event count."""
+    trace = chrome_trace(spans)
+    with open(path, "w") as handle:
+        handle.write(json.dumps(trace) + "\n")
+    return len(trace["traceEvents"])
 
-    # ------------------------------------------------------------------
-    # Chrome trace_event export
-    # ------------------------------------------------------------------
-    def chrome_trace(self) -> Dict[str, Any]:
-        """The span set as a ``chrome://tracing``-loadable object.
 
-        Every span becomes a complete ("ph": "X") event; timestamps are
-        microseconds of simulation time; the datagram's trace id is the
-        thread id so one datagram's spans share a row; parent links ride
-        in ``args`` (span_id/parent_id).
-        """
-        events: List[Dict[str, Any]] = [{
-            "name": "process_name", "ph": "M", "pid": 1, "tid": 0,
-            "args": {"name": "repro-mobility simulation"},
-        }]
-        for span in self.spans:
-            end = span.end if span.end is not None else span.start
-            events.append({
-                "name": span.name,
-                "cat": span.cat,
-                "ph": "X",
-                "ts": span.start * 1e6,
-                "dur": (end - span.start) * 1e6,
-                "pid": 1,
-                "tid": span.trace_id,
-                "args": {
-                    "span_id": span.span_id,
-                    "parent_id": span.parent_id,
-                    "node": span.node,
-                    **span.args,
-                },
-            })
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
+# ----------------------------------------------------------------------
+# Per-mode summaries
+# ----------------------------------------------------------------------
+def summarize(spans: List[Span]) -> Dict[str, Any]:
+    """Per-mode latency/overhead histograms over the root spans.
 
-    def export_chrome_trace(self, path) -> int:
-        """Write the Chrome trace JSON; returns the event count."""
-        trace = self.chrome_trace()
-        with open(path, "w") as handle:
-            handle.write(json.dumps(trace) + "\n")
-        return len(trace["traceEvents"])
-
-    # ------------------------------------------------------------------
-    # Per-mode summaries
-    # ------------------------------------------------------------------
-    def summarize(self) -> Dict[str, Any]:
-        """Per-mode latency/overhead histograms over the root spans.
-
-        The mode is the engine's ``mode-select`` choice for outgoing
-        datagrams; datagrams that never passed the mobility override
-        (conventional senders, control traffic) group under
-        ``"conventional"``.
-        """
-        per_mode: Dict[str, Dict[str, Any]] = {}
-        for span in self.spans:
-            if span.parent_id is not None:
-                continue
-            mode = span.args.get("mode", "conventional")
-            bucket = per_mode.get(mode)
-            if bucket is None:
-                bucket = per_mode[mode] = {
-                    "count": 0, "delivered": 0, "dropped": 0, "fragmented": 0,
-                    "latency": Histogram("span.latency", {"mode": mode},
-                                         LATENCY_BUCKETS),
-                    "overhead_bytes": Histogram("span.overhead", {"mode": mode},
-                                                SIZE_BUCKETS),
-                }
-            bucket["count"] += 1
-            if span.args.get("fragmented"):
-                bucket["fragmented"] += 1
-            if span.args.get("dropped"):
-                bucket["dropped"] += 1
-            elif span.args.get("delivered"):
-                bucket["delivered"] += 1
-                if span.end is not None:
-                    bucket["latency"].observe(span.end - span.start)
-            bucket["overhead_bytes"].observe(
-                span.args["max_bytes"] - span.args["base_bytes"]
-            )
-        return {
-            mode: {
-                "count": data["count"],
-                "delivered": data["delivered"],
-                "dropped": data["dropped"],
-                "fragmented": data["fragmented"],
-                "latency": data["latency"].snapshot(),
-                "overhead_bytes": data["overhead_bytes"].snapshot(),
+    The mode is the engine's ``mode-select`` choice for outgoing
+    datagrams; datagrams that never passed the mobility override
+    (conventional senders, control traffic) group under
+    ``"conventional"``.
+    """
+    per_mode: Dict[str, Dict[str, Any]] = {}
+    for span in spans:
+        if span.parent_id is not None:
+            continue
+        mode = span.args.get("mode", "conventional")
+        bucket = per_mode.get(mode)
+        if bucket is None:
+            bucket = per_mode[mode] = {
+                "count": 0, "delivered": 0, "dropped": 0, "fragmented": 0,
+                "latency": Histogram("span.latency", {"mode": mode},
+                                     LATENCY_BUCKETS),
+                "overhead_bytes": Histogram("span.overhead", {"mode": mode},
+                                            SIZE_BUCKETS),
             }
-            for mode, data in sorted(per_mode.items())
+        bucket["count"] += 1
+        if span.args.get("fragmented"):
+            bucket["fragmented"] += 1
+        if span.args.get("dropped"):
+            bucket["dropped"] += 1
+        elif span.args.get("delivered"):
+            bucket["delivered"] += 1
+            bucket["latency"].observe(span.end - span.start)
+        bucket["overhead_bytes"].observe(
+            span.args["max_bytes"] - span.args["base_bytes"]
+        )
+    return {
+        mode: {
+            "count": data["count"],
+            "delivered": data["delivered"],
+            "dropped": data["dropped"],
+            "fragmented": data["fragmented"],
+            "latency": data["latency"].snapshot(),
+            "overhead_bytes": data["overhead_bytes"].snapshot(),
         }
+        for mode, data in sorted(per_mode.items())
+    }

@@ -149,8 +149,8 @@ class _TraceState:
     last_time: float = 0.0
     last_action: str = ""
     exempt: bool = False
-    # (phase, frag_offset) -> set of forwarding nodes visited
-    visited: Dict[Tuple[int, int], Set[str]] = field(default_factory=dict)
+    # (phase, frag_offset, node) of every forward seen
+    visited: Set[Tuple[int, int, str]] = field(default_factory=set)
     # (phase, frag_offset) -> last TTL seen at a forward
     ttl: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
@@ -194,12 +194,6 @@ class InvariantMonitor:
             raise RuntimeError("invariant monitor is already attached")
         self._trace = trace
         trace.subscribe(self.on_event)
-
-    def detach(self) -> None:
-        if self._trace is None:
-            return
-        self._trace.unsubscribe(self.on_event)
-        self._trace = None
 
     # ------------------------------------------------------------------
     # Event intake
@@ -247,14 +241,14 @@ class InvariantMonitor:
         key = (state.phase, packet.frag_offset)
 
         self.checks["no-loop"] += 1
-        visited = state.visited.setdefault(key, set())
-        if node in visited:
+        visit = (state.phase, packet.frag_offset, node)
+        if visit in state.visited:
             self._violate(
                 "no-loop", time, node, packet.trace_id,
                 f"revisited forwarding node {node} in phase {state.phase} "
                 f"(offset {packet.frag_offset})",
             )
-        visited.add(node)
+        state.visited.add(visit)
 
         self.checks["ttl-decreases"] += 1
         ttl = packet.ttl

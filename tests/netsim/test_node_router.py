@@ -90,8 +90,6 @@ class TestAddressClasses:
     def test_subnet_directed_broadcast_delivered_locally(self, lan):
         sim, _segment, a, b = lan
         seen = self.received(b)
-        a.arp.learn(a.interfaces["eth0"], IPAddress("192.168.1.255"),
-                    BROADCAST_LINK_ADDR)
         a.ip_send(udp("192.168.1.1", "192.168.1.255"))
         sim.run()
         assert [p.dst for p in seen] == [IPAddress("192.168.1.255")]
@@ -109,6 +107,28 @@ class TestAddressClasses:
         assert [str(p.dst) for p in seen] == ["192.168.1.255", "255.255.255.255"]
         assert router.packets_forwarded == 0
         assert sim.trace.action_counts["forward"] == 0
+
+    def test_directed_broadcast_to_a_remote_subnet_reaches_its_hosts(self, sim):
+        # RFC 1812 §5.3.5.2: the router sends it out as a link-layer
+        # broadcast on the target subnet instead of ARPing for it.
+        router = Router("gw", sim)
+        host, far_host = routed_lans(sim, router)
+        seen = self.received(far_host)
+        host.ip_send(udp("192.168.1.1", "192.168.2.255"))
+        sim.run()
+        assert [str(p.dst) for p in seen] == ["192.168.2.255"]
+        assert router.packets_forwarded == 1
+        assert router.arp._pending == {}
+
+    def test_directed_broadcast_on_the_own_subnet_needs_no_arp(self, sim):
+        router = Router("gw", sim)
+        host, _far_host = routed_lans(sim, router)
+        seen = self.received(router)
+        host.ip_send(udp("192.168.1.1", "192.168.1.255"))
+        sim.run()
+        assert [str(p.dst) for p in seen] == ["192.168.1.255"]
+        assert router.packets_forwarded == 0
+        assert host.arp._pending == {}
 
     def test_secondary_address_delivered_locally(self, lan):
         sim, _segment, a, b = lan

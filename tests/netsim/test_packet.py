@@ -7,6 +7,7 @@ from repro.netsim.addressing import IPAddress
 from repro.netsim.encap import EncapScheme, encapsulate
 from repro.netsim.packet import IPV4_HEADER_SIZE, IPProto, Packet
 from repro.netsim.trace import TraceLog
+from repro.obs.spans import datagrams
 
 
 def make_packet(size=100, proto=IPProto.UDP):
@@ -68,7 +69,7 @@ class TestEncapsulationStack:
 
 
 class TestTraceHelpers:
-    """A packet's journey, read back from the trace log by trace id."""
+    """A packet's journey, folded from the trace log by trace id."""
 
     def test_record_and_path(self):
         log = TraceLog()
@@ -76,17 +77,20 @@ class TestTraceHelpers:
         log.note(0.0, "a", "send", packet)
         log.note(0.1, "r1", "forward", packet)
         log.note(0.2, "b", "deliver", packet)
-        assert log.path_of(packet.trace_id) == ("r1", "b")
-        assert log.hop_counts()[packet.trace_id] == 1
+        (root,) = datagrams(log.entries, 0.2)
+        assert root.trace_id == packet.trace_id
+        assert root.args["hops"] == 1
+        assert root.args["end_node"] == "b" and root.args["delivered"] is True
 
     def test_drop_reason(self):
         log = TraceLog()
         packet = make_packet()
         log.note(0.0, "a", "send", packet)
-        assert not log.dropped(packet.trace_id)
+        (root,) = datagrams(log.entries, 0.0)
+        assert "dropped" not in root.args and root.args["incomplete"] is True
         log.note(0.1, "gw", "drop", packet, "source-address-filter")
-        assert log.dropped(packet.trace_id)
-        assert log.drop_detail(packet.trace_id) == "source-address-filter"
+        (root,) = datagrams(log.entries, 0.1)
+        assert root.args["dropped"] == "source-address-filter"
 
 
 class TestIdentity:

@@ -1,6 +1,7 @@
 """Tests for the trace log and ICMP message construction rules."""
 
 
+from repro.analysis import delivery_ratio
 from repro.netsim.addressing import IPAddress
 from repro.netsim.icmp import (
     CareOfAdvisory,
@@ -14,11 +15,19 @@ from repro.netsim.icmp import (
 )
 from repro.netsim.packet import IPProto, Packet
 from repro.netsim.trace import TraceLog
+from repro.obs.spans import datagrams
 
 
 def udp(src="1.1.1.1", dst="2.2.2.2"):
     return Packet(src=IPAddress(src), dst=IPAddress(dst), proto=IPProto.UDP,
                   payload="x", payload_size=50)
+
+
+def record(log, packet):
+    """The datagram's root span, folded from the log."""
+    (root,) = [span for span in datagrams(log.entries, 0.0)
+               if span.trace_id == packet.trace_id and span.parent_id is None]
+    return root
 
 
 class TestTraceLog:
@@ -27,8 +36,9 @@ class TestTraceLog:
         packet = udp()
         log.note(1.0, "n1", "send", packet)
         log.note(2.0, "n2", "deliver", packet)
-        assert log.delivered(packet.trace_id)
-        assert log.path_of(packet.trace_id) == ("n2",)
+        root = record(log, packet)
+        assert root.args["delivered"] is True
+        assert "hops" not in root.args and root.args["end_node"] == "n2"
         assert [e.proto for e in log.entries] == ["UDP", "UDP"]
         assert log.total_deliveries == 1
 
@@ -36,8 +46,7 @@ class TestTraceLog:
         log = TraceLog()
         packet = udp()
         log.note(1.0, "gw", "drop", packet, detail="filter")
-        assert log.dropped(packet.trace_id)
-        assert log.drop_detail(packet.trace_id) == "filter"
+        assert record(log, packet).args["dropped"] == "filter"
         assert log.drops_by_reason["filter"] == 1
 
     def test_delivery_ratio(self):
@@ -45,11 +54,16 @@ class TestTraceLog:
         packets = [udp() for _ in range(4)]
         for packet in packets[:3]:
             log.note(0.0, "n", "deliver", packet)
-        ratio = log.delivery_ratio([p.trace_id for p in packets])
+        delivered = {span.trace_id for span in datagrams(log.entries, 0.0)
+                     if span.args.get("delivered")}
+        ratio = delivery_ratio(
+            sum(p.trace_id in delivered for p in packets), len(packets))
         assert ratio == 0.75
 
     def test_delivery_ratio_empty(self):
-        assert TraceLog().delivery_ratio([]) == 0.0
+        log = TraceLog()
+        assert datagrams(log.entries, 0.0) == []
+        assert log.total_deliveries == 0
 
     def test_path_of(self):
         log = TraceLog()
@@ -58,8 +72,9 @@ class TestTraceLog:
         log.note(0.1, "r1", "forward", packet)
         log.note(0.2, "r2", "forward", packet)
         log.note(0.3, "b", "deliver", packet)
-        assert log.path_of(packet.trace_id) == ("r1", "r2", "b")
-        assert log.hop_counts()[packet.trace_id] == 2
+        root = record(log, packet)
+        assert root.args["hops"] == 2
+        assert root.args["end_node"] == "b" and root.args["delivered"] is True
 
     def test_link_bytes(self):
         log = TraceLog()

@@ -52,38 +52,42 @@ class TestDelivery:
         assert [name for name, _, _ in log] == ["a", "b", "c"]
 
     def test_arming_order_is_obs_invariants_recorder(self):
+        # Observability subscribes nothing (its spans are folded from
+        # the entries), so the live subscribers are the other two.
         sim = Simulator(seed=1)
-        obs = sim.enable_observability(engine_cadence=None)
+        sim.enable_observability(engine_cadence=None)
         monitor = sim.enable_invariants()
         recorder = sim.enable_flight_recorder(limit=8)
-        assert sim.trace.subscribers == [
-            obs.spans.on_event, monitor.on_event, recorder._record]
+        assert sim.trace.subscribers == [monitor.on_event, recorder._record]
 
 
 class TestDetach:
     def test_unsubscribe_removes_only_its_own_and_is_idempotent(self):
+        # Subscriptions are permanent: a later subscriber joins the end
+        # of the list and sees only later events; the earlier ones stay.
         trace = TraceLog()
         log = []
-        first, second = _recording(log, "a"), _recording(log, "b")
+        first, second, late = (_recording(log, name) for name in "abc")
         trace.subscribe(first)
         trace.subscribe(second)
-        trace.unsubscribe(first)
-        trace.unsubscribe(first)
-        assert trace.subscribers == [second]
         trace.note(0.0, "n", "send", _packet())
-        assert [name for name, _, _ in log] == ["b"]
+        trace.subscribe(late)
+        trace.note(1.0, "n", "deliver", _packet())
+        assert trace.subscribers == [first, second, late]
+        assert [(name, action) for name, action, _ in log] == [
+            ("a", "send"), ("b", "send"),
+            ("a", "deliver"), ("b", "deliver"), ("c", "deliver")]
+        assert not hasattr(trace, "unsubscribe")
 
-    def test_component_detach_leaves_the_others_subscribed(self):
-        sim = Simulator(seed=1)
-        obs = sim.enable_observability(engine_cadence=None)
-        monitor = sim.enable_invariants()
-        recorder = sim.enable_flight_recorder(limit=8)
-        monitor.detach()
-        monitor.detach()
-        assert sim.trace.subscribers == [obs.spans.on_event, recorder._record]
-        obs.disable()
-        recorder.detach()
-        assert sim.trace.subscribers == []
+    def test_component_detach_leaves_the_others_subscribed(self, tmp_path):
+        # Nothing detaches: after a whole observed, invariant-armed,
+        # recorder-armed run the list holds exactly the two live
+        # subscribers, and ``note`` was never rebound.
+        runner = Runner(flightrec_path=str(tmp_path / "fr.json"))
+        runner.run(canonical_traffic_spec(observe=True, arm_invariants=True))
+        sim = runner.scenario.sim
+        assert sim.trace.subscribers == [
+            sim.invariants.on_event, sim.flightrec._record]
         assert "note" not in sim.trace.__dict__
 
 

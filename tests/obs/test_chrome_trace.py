@@ -15,6 +15,7 @@ import json
 
 from repro.analysis import MH_HOME_ADDRESS, build_scenario
 from repro.mobileip import Awareness
+from repro.obs.spans import chrome_trace, summarize
 
 
 def _run_fragmented_datagram(tmp_path):
@@ -28,9 +29,9 @@ def _run_fragmented_datagram(tmp_path):
     obs.finish()
     path = tmp_path / "trace.json"
     count = obs.export_chrome_trace(path)
-    assert count == len(obs.spans.spans) + 1  # +1 metadata event
+    assert count == len(obs.spans()) + 1  # +1 metadata event
     # One line: a default ``json.dumps`` of the trace and a newline.
-    assert path.read_text() == json.dumps(obs.spans.chrome_trace()) + "\n"
+    assert path.read_text() == json.dumps(chrome_trace(obs.spans())) + "\n"
     return scenario, obs, path
 
 
@@ -90,6 +91,6 @@ class TestChromeTraceExport:
 
     def test_mode_summary_counts_fragmentation(self, tmp_path):
         _, obs, _ = _run_fragmented_datagram(tmp_path)
-        summary = obs.spans.summarize()
+        summary = summarize(obs.spans())
         assert summary["conventional"]["fragmented"] >= 1
         assert summary["conventional"]["delivered"] >= 1

@@ -152,9 +152,15 @@ class TestObservabilityFacade:
         obs.finish()
         assert obs.report()["spans"]["count"] == 0
 
-    def test_spans_disabled_export_raises(self):
+    def test_spans_disabled_export_raises(self, tmp_path):
+        # Spans cannot be switched off any more (they cost nothing until
+        # a report folds them), so the old switch is refused, and a run
+        # with no datagrams exports only the metadata event.
         sim = Simulator(seed=3)
-        obs = sim.enable_observability(spans=False)
-        with pytest.raises(RuntimeError):
-            obs.export_chrome_trace("/tmp/nope.json")
-        assert "spans" not in obs.report()
+        with pytest.raises(TypeError):
+            sim.enable_observability(spans=False)
+        assert sim.obs is None
+        obs = sim.enable_observability(engine_cadence=None)
+        assert obs.export_chrome_trace(tmp_path / "trace.json") == 1
+        assert obs.report()["spans"] == {"count": 0, "open": 0, "per_mode": {}}
+        assert "engine" not in obs.report()

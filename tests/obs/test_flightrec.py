@@ -126,18 +126,18 @@ class TestRenderAtDump:
 
 class TestAttachment:
     def test_attach_detach_restores_class_method(self, sim):
+        # Attaching adds one subscriber and rebinds nothing.  Nothing
+        # detaches: a run's subscribers live as long as its world.
         trace = sim.trace
         recorder = FlightRecorder(sim, limit=4)
         recorder.attach(trace)
         assert "note" not in trace.__dict__     # a subscriber, not a rebind
-        assert len(trace.subscribers) == 1
-        recorder.detach()
-        assert "note" not in trace.__dict__
-        assert trace.subscribers == []
+        assert trace.subscribers == [recorder._record]
+        assert not hasattr(recorder, "detach")
 
     def test_attach_composes_with_an_earlier_subscriber(self, sim):
-        # Another observer (invariants, spans) may already be
-        # subscribed; detach must leave *that* one in place.
+        # Another observer (the invariant monitor) may already be
+        # subscribed; both stay, in arming order.
         trace = sim.trace
         seen = []
 
@@ -150,8 +150,7 @@ class TestAttachment:
         trace.note(1.0, "n", "send", _packet(1))
         assert seen == ["send"]
         assert recorder.recorded == 1
-        recorder.detach()
-        assert trace.subscribers == [earlier]
+        assert trace.subscribers == [earlier, recorder._record]
 
     def test_double_attach_and_double_enable_raise(self, sim):
         recorder = sim.enable_flight_recorder(limit=4)
@@ -161,10 +160,15 @@ class TestAttachment:
             sim.enable_flight_recorder()
 
     def test_detach_is_idempotent(self, sim):
+        # Nothing detaches; a refused second attach leaves exactly one
+        # subscription, so each event is recorded once.
         recorder = FlightRecorder(sim, limit=4)
         recorder.attach(sim.trace)
-        recorder.detach()
-        recorder.detach()
+        with pytest.raises(RuntimeError):
+            recorder.attach(sim.trace)
+        assert sim.trace.subscribers == [recorder._record]
+        sim.trace.note(1.0, "n", "send", _packet(1))
+        assert recorder.recorded == 1
 
 
 class TestDump:

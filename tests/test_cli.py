@@ -176,6 +176,31 @@ class TestObsSubcommand:
         assert "node.packets_sent{node=mh}" in report["metrics"]
         assert report["engine"]["summary"]["samples"] >= 1
 
+    def test_obs_output_bytes_are_pinned(self, tmp_path):
+        # Pins the span fold's order, ids and arg order, which the
+        # report's per-mode summary and the Chrome file both show.  Run
+        # in a fresh process: span names carry process-global trace
+        # ids.  A change that alters either file on purpose updates
+        # these pins and says why in CHANGES.md.
+        import hashlib
+        import subprocess
+        import sys
+
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "--seed", "1996",
+             "--obs-out", "obs.json", "obs", "--chrome-trace", "chrome.json"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("obs.json", "chrome.json")}
+        assert digests == {
+            "obs.json": "05060584860efbaacac10fd1659b6b1c"
+                        "1bedb4e934a93509ad9fe8c01e8f2ea8",
+            "chrome.json": "e9b1b324fd6bb38a692acdd5da5eb215"
+                           "f5b8ce53dcb69aea29bade8436ef8ac5",
+        }
+
     def test_obs_out_on_topology(self, tmp_path, capsys):
         import json
 
