@@ -11,7 +11,8 @@ measures a datagram stream three ways:
    care-of advisory (Figure 5) — the first packet triangles, the rest
    go directly (In-DE);
 3. mobile-aware correspondent that consults the DNS temporary-address
-   record (§3.2's second mechanism) — no packet triangles at all.
+   record the mobile host registered (§3.2's second mechanism) — no
+   packet triangles at all.
 
 Run:  python examples/smart_correspondent.py
 """
@@ -72,8 +73,11 @@ def main() -> None:
          stream_latencies(advisory), advisory)
 
     dns_scenario = build(Awareness.MOBILE_AWARE, with_dns=True)
-    dns_scenario.dns.register_temporary("mh.home.example",
-                                        dns_scenario.mh.care_of, 300.0)
+    # The mobile host registers its care-of address with the DNS
+    # itself; a second lets the update land before the lookup.
+    dns_scenario.mh.update_dns("mh.home.example", dns_scenario.dns_ip,
+                               lifetime=300.0)
+    dns_scenario.sim.run_for(1)
     resolver = Resolver(dns_scenario.ch.stack, dns_scenario.dns_ip)
 
     def lookup_first():

@@ -2,9 +2,9 @@
 
 Aggregates the per-component counters of a running scenario — per-node
 send/receive totals, tunnel usage, home-agent work, per-link bytes,
-drop reasons, engine decisions — into one structured snapshot that
-benchmarks and examples can diff across phases of an experiment
-("before the move" vs "after", "Mobile IP on" vs "off").
+drop reasons, engine decisions — into one structured snapshot; two
+snapshots read before and after a phase of an experiment ("before the
+move" vs "after", "Mobile IP on" vs "off") bracket what it did.
 
 Components register their counters into
 :class:`repro.obs.metrics.MetricsRegistry` at construction (see
@@ -21,7 +21,7 @@ from typing import Dict
 
 from .scenarios import Scenario
 
-__all__ = ["ScenarioSnapshot", "snapshot", "diff"]
+__all__ = ["ScenarioSnapshot", "snapshot"]
 
 
 @dataclass(frozen=True)
@@ -41,16 +41,6 @@ class ScenarioSnapshot:
     drops: Dict[str, int]
     engine_decisions: int
     mode_changes: int
-
-    @property
-    def total_sent(self) -> int:
-        return sum(self.packets_sent.values())
-
-    @property
-    def mobile_ip_packets(self) -> int:
-        """Packets that needed the Mobile IP machinery at all."""
-        return (self.tunneled_by_mh + self.tunneled_by_ha
-                + self.reverse_forwarded_by_ha)
 
 
 def snapshot(scenario: Scenario) -> ScenarioSnapshot:
@@ -82,36 +72,3 @@ def snapshot(scenario: Scenario) -> ScenarioSnapshot:
         mode_changes=int(metrics.value("mh.mode_changes", node=mh_name)),
     )
 
-
-def diff(before: ScenarioSnapshot, after: ScenarioSnapshot) -> ScenarioSnapshot:
-    """Counter deltas between two snapshots of the same scenario."""
-    if after.time < before.time:
-        raise ValueError("snapshots out of order")
-    return ScenarioSnapshot(
-        time=after.time - before.time,
-        packets_sent={
-            name: after.packets_sent.get(name, 0) - count
-            for name, count in before.packets_sent.items()
-        } | {name: count for name, count in after.packets_sent.items()
-             if name not in before.packets_sent},
-        packets_received={
-            name: after.packets_received.get(name, 0) - count
-            for name, count in before.packets_received.items()
-        } | {name: count for name, count in after.packets_received.items()
-             if name not in before.packets_received},
-        tunneled_by_mh=after.tunneled_by_mh - before.tunneled_by_mh,
-        decapsulated_by_mh=after.decapsulated_by_mh - before.decapsulated_by_mh,
-        tunneled_by_ha=after.tunneled_by_ha - before.tunneled_by_ha,
-        reverse_forwarded_by_ha=(after.reverse_forwarded_by_ha
-                                 - before.reverse_forwarded_by_ha),
-        advisories_sent=after.advisories_sent - before.advisories_sent,
-        wide_area_bytes=after.wide_area_bytes - before.wide_area_bytes,
-        lan_bytes=after.lan_bytes - before.lan_bytes,
-        drops={
-            reason: after.drops.get(reason, 0) - count
-            for reason, count in before.drops.items()
-        } | {reason: count for reason, count in after.drops.items()
-             if reason not in before.drops},
-        engine_decisions=after.engine_decisions - before.engine_decisions,
-        mode_changes=after.mode_changes - before.mode_changes,
-    )

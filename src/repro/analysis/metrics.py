@@ -1,84 +1,16 @@
 """Metrics: the quantities the paper argues about.
 
 §3 names the three optimization axes — deliverability, latency (path
-length through the Internet), and packet size.  This module provides
-the corresponding measurements over simulation traces:
+length through the Internet), and packet size.  This module holds the
+measurement the figures share:
 
 * **path stretch** — the ratio of the path a packet actually took to
-  the best direct path (Figure 4's triangle-routing penalty);
-* **byte overhead** — encapsulation bytes relative to the unencapsulated
-  packet (§3.3);
-* **delivery ratio** — per §3.1's "correctly deliverable" requirement;
-* distribution summaries used by every benchmark table.
+  the best direct path (Figure 4's triangle-routing penalty).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-__all__ = [
-    "Summary",
-    "summarize",
-    "path_stretch",
-    "overhead_fraction",
-    "delivery_ratio",
-]
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Distribution summary for one measured series."""
-
-    count: int
-    mean: float
-    minimum: float
-    maximum: float
-    median: float
-    p95: float
-
-    def __str__(self) -> str:
-        return (
-            f"n={self.count} mean={self.mean:.6g} min={self.minimum:.6g} "
-            f"median={self.median:.6g} p95={self.p95:.6g} max={self.maximum:.6g}"
-        )
-
-
-def _percentile(ordered: Sequence[float], fraction: float) -> float:
-    """Linear-interpolated percentile of a pre-sorted sequence."""
-    if not ordered:
-        raise ValueError("empty series")
-    if len(ordered) == 1:
-        return ordered[0]
-    position = fraction * (len(ordered) - 1)
-    low = math.floor(position)
-    high = math.ceil(position)
-    if low == high:
-        return ordered[low]
-    weight = position - low
-    return ordered[low] * (1 - weight) + ordered[high] * weight
-
-
-def summarize(values: Iterable[float]) -> Summary:
-    """Summary statistics of a series (raises on an empty one)."""
-    data = sorted(float(v) for v in values)
-    if not data:
-        raise ValueError("cannot summarize an empty series")
-    # Clamp derived statistics into [min, max]: float summation and the
-    # interpolation in _percentile can otherwise land a ULP outside the
-    # range (or underflow entirely for subnormal inputs).
-    def clamp(value: float) -> float:
-        return min(max(value, data[0]), data[-1])
-
-    return Summary(
-        count=len(data),
-        mean=clamp(sum(data) / len(data)),
-        minimum=data[0],
-        maximum=data[-1],
-        median=clamp(_percentile(data, 0.5)),
-        p95=clamp(_percentile(data, 0.95)),
-    )
+__all__ = ["path_stretch"]
 
 
 def path_stretch(actual: float, direct: float) -> float:
@@ -90,18 +22,3 @@ def path_stretch(actual: float, direct: float) -> float:
     if direct <= 0:
         raise ValueError("direct path measure must be positive")
     return actual / direct
-
-
-def overhead_fraction(with_encap: int, without: int) -> float:
-    """Fractional byte overhead of encapsulation (§3.3)."""
-    if without <= 0:
-        raise ValueError("baseline size must be positive")
-    return (with_encap - without) / without
-
-
-def delivery_ratio(delivered: int, sent: int) -> float:
-    if sent <= 0:
-        raise ValueError("nothing was sent")
-    if delivered > sent:
-        raise ValueError("delivered more than sent")
-    return delivered / sent

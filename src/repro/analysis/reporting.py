@@ -8,9 +8,9 @@ experiments (and greppable from ``bench_output.txt``).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
-__all__ = ["TextTable", "render_kv"]
+__all__ = ["TextTable"]
 
 
 class TextTable:
@@ -51,10 +51,6 @@ class TextTable:
             )
         return "\n".join(lines)
 
-    def print(self) -> None:
-        print()
-        print(self.render())
-
 
 def ascii_series(
     title: str,
@@ -84,12 +80,3 @@ def ascii_series(
         )
     return "\n".join(lines)
 
-
-def render_kv(title: str, pairs: Iterable[tuple]) -> str:
-    """A small key/value block for one-off results."""
-    lines = [f"== {title} =="]
-    for key, value in pairs:
-        if isinstance(value, float):
-            value = f"{value:.4g}"
-        lines.append(f"  {key}: {value}")
-    return "\n".join(lines)

@@ -66,9 +66,6 @@ class Scenario:
         """Run the simulator long enough for registrations to finish."""
         self.sim.run(until=self.sim.now + duration)
 
-    def backbone_distance(self, a: str, b: str) -> int:
-        return self.net.domain_distance(a, b)
-
 
 def build_scenario(
     seed: int = 1996,

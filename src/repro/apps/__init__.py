@@ -10,15 +10,12 @@
 * :mod:`repro.apps.multicast` — local join vs. home tunnel (§6.4).
 * :mod:`repro.apps.bulk`      — FTP-ish bulk transfer (goodput under
   §3.3's overheads).
-* :mod:`repro.apps.pop3`      — client-originated mail retrieval (the
-  §2 trend the heuristics ride on).
 """
 
 from .bulk import BULK_PORT, BulkClient, BulkResult, BulkServer
 from .dnsapp import DNSLookupWorkload, LookupRecord
 from .http import HTTP_PORT, FetchResult, HTTPClient, HTTPServer
 from .multicast import HomeTunnelRelay, MulticastReceiver, MulticastSource
-from .pop3 import POP3_PORT, MailCheck, POP3Client, POP3Server
 from .nfs import NFS_PORT, NFSClient, NFSRequest, NFSResponse, NFSServer
 from .telnet import TELNET_PORT, TelnetServer, TelnetSession
 
@@ -36,10 +33,6 @@ __all__ = [
     "HomeTunnelRelay",
     "MulticastReceiver",
     "MulticastSource",
-    "POP3_PORT",
-    "MailCheck",
-    "POP3Client",
-    "POP3Server",
     "NFS_PORT",
     "NFSClient",
     "NFSRequest",

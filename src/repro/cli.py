@@ -286,11 +286,10 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     )
     runner = Runner()
     result = runner.run(spec)
-    obs = runner.scenario.sim.obs
-    if args.obs_out:
-        args._obs.append(obs)
-
     report = result.obs
+    if args.obs_out:
+        args._obs.append(report)
+
     print(f"simulated {report['sim_time']:.1f}s, "
           f"{report['events_processed']} events processed")
     print("\nper-mode datagram summary:")
@@ -323,7 +322,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     else:
         print("  (no samples)")
     if args.chrome_trace:
-        count = obs.export_chrome_trace(args.chrome_trace)
+        count = runner.scenario.sim.obs.export_chrome_trace(args.chrome_trace)
         print(f"\nwrote {count} trace events to {args.chrome_trace} "
               f"(load in chrome://tracing or https://ui.perfetto.dev)")
     return 0

@@ -73,8 +73,9 @@ class PortHeuristics:
     """Port-number rules for unaware applications (§7.1.1).
 
     The defaults are the two examples from the paper; applications and
-    tests may add more (e.g. POP3's client-originated retrieval pattern
-    that §2 cites as the trend these heuristics ride on).
+    tests may add more (e.g. a mail-retrieval port, the
+    client-originated pattern that §2 cites as the trend these
+    heuristics ride on).
     """
 
     tcp_temporary_ports: Set[int] = field(default_factory=lambda: {80})

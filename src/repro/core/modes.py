@@ -73,16 +73,6 @@ class OutMode(Enum):
         """Whether the correspondent sees the permanent home address."""
         return self is not OutMode.OUT_DT
 
-    @property
-    def conservativeness(self) -> int:
-        """Higher = more conservative (paper §7.1.2 probe ordering)."""
-        return {
-            OutMode.OUT_DH: 0,
-            OutMode.OUT_DE: 1,
-            OutMode.OUT_IE: 2,
-            OutMode.OUT_DT: -1,  # outside the home-address ladder
-        }[self]
-
 
 class InMode(Enum):
     """How a correspondent's packets reach the mobile host (§5)."""

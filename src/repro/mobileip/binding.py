@@ -55,13 +55,13 @@ class PoolBlock:
     :class:`Binding` objects (one is materialized lazily, on a hit).
 
     ``alive[i]`` gates every read: a dead slot (deregistered, expired,
-    pruned, flushed) stays dead even though its timestamps keep being
-    touched by the wheel's bulk slice refresh.
+    flushed) stays dead even though its timestamps keep being touched
+    by the wheel's bulk slice refresh.
     """
 
     __slots__ = (
         "base", "count", "care_of", "registered_at", "lifetime",
-        "alive", "live", "expiry_floor",
+        "alive", "live",
     )
 
     def __init__(
@@ -72,7 +72,6 @@ class PoolBlock:
         registered_at: "array",
         lifetime: float,
         alive: bytearray,
-        now: float,
     ):
         if not len(registered_at) == len(alive) == count:
             raise ValueError("pool block columns must all have length count")
@@ -83,12 +82,6 @@ class PoolBlock:
         self.lifetime = lifetime
         self.alive = alive
         self.live = count - alive.count(0)
-        # A conservative lower bound on the earliest expiry of any live
-        # entry (no entry was registered before ``now``).  Refreshes
-        # only push expiries later, so a stale floor errs small — the
-        # safe direction for the prune guard.  The timer wheel advances
-        # it after each full refresh cycle.
-        self.expiry_floor = now + lifetime if count else float("inf")
 
     def index_of(self, value: int) -> int:
         """Array index of a *live* entry for address ``value``, or -1."""
@@ -104,32 +97,6 @@ class PoolBlock:
         if self.alive[index]:
             self.alive[index] = 0
             self.live -= 1
-
-    def prune(self, now: float) -> int:
-        """Mark every expired live entry dead; returns how many.
-
-        Guarded by :attr:`expiry_floor`: in steady state the wheel
-        refreshes every entry before it can expire, the floor stays
-        ahead of the clock, and the scan is skipped entirely.
-        """
-        if now < self.expiry_floor or not self.live:
-            return 0
-        dead = 0
-        registered_at, lifetime, alive = (
-            self.registered_at, self.lifetime, self.alive)
-        floor = float("inf")
-        for index in range(self.count):
-            if not alive[index]:
-                continue
-            expires = registered_at[index] + lifetime
-            if now >= expires:
-                alive[index] = 0
-                dead += 1
-            elif expires < floor:
-                floor = expires
-        self.live -= dead
-        self.expiry_floor = floor
-        return dead
 
     def state_bytes(self) -> int:
         """Actual bytes of per-slot state held for this block."""
@@ -182,14 +149,12 @@ class BindingTable:
         care_of: Callable[[int], int],
         registered_at: "array",
         lifetime: float,
-        now: float,
         alive: bytearray,
     ) -> PoolBlock:
         """Install ``count`` bindings for home addresses ``home_base +
         i`` as one struct-of-arrays :class:`PoolBlock`.
 
-        No entry was registered before ``now``.  The columns are
-        adopted by reference (the caller — a
+        The columns are adopted by reference (the caller — a
         :class:`~repro.netsim.population.HostPool` — keeps writing to
         them), so this is O(1) in bindings: no per-host objects, no
         per-host dict entries, no IPAddress interning traffic.
@@ -204,14 +169,10 @@ class BindingTable:
                     f"{existing.base + existing.count})"
                 )
         block = PoolBlock(home_base, count, care_of, registered_at,
-                          lifetime, alive, now)
+                          lifetime, alive)
         self._blocks.append(block)
         self.registrations += count
         return block
-
-    @property
-    def blocks(self) -> Tuple[PoolBlock, ...]:
-        return tuple(self._blocks)
 
     def _block_entry(self, value: int) -> Optional[Tuple[PoolBlock, int]]:
         for block in self._blocks:
@@ -305,29 +266,6 @@ class BindingTable:
             }
             for home, binding in self._bindings.items()
         }
-
-    def prune(self, now: float) -> int:
-        """Evict every expired entry; returns how many were dropped.
-
-        Unlike the lazy expiry in :meth:`lookup`, this sweeps the whole
-        table — at pool scale dead bindings must not accumulate waiting
-        for a lookup that never comes.  The dict sweep collects first
-        and deletes after, so a prune fired from inside an iteration
-        over a snapshot (or from the timer wheel, mid-run) is safe.
-        The block sweep is guarded by each block's ``expiry_floor`` and
-        is a no-op in wheel-refreshed steady state.
-        """
-        dead = [
-            home for home, binding in self._bindings.items()
-            if not binding.valid_at(now)
-        ]
-        for home in dead:
-            del self._bindings[home]
-        pruned = len(dead)
-        for block in self._blocks:
-            pruned += block.prune(now)
-        self.expirations += pruned
-        return pruned
 
     def flush(self) -> int:
         """Drop every binding without counting deregistrations.

@@ -200,7 +200,7 @@ class HomeAgent(Node):
         """
         block = self.bindings.register_many(
             pool.home_base, pool.size, pool.care_of, pool.registered_at,
-            pool.lifetime, pool.built_at, pool.alive,
+            pool.lifetime, pool.alive,
         )
         iface = self._home_iface()
         self.arp.add_proxy_range(iface, pool.home_base, pool.size)

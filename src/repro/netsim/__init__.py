@@ -31,7 +31,7 @@ from .link import ETHERNET_MTU, Frame, Interface, LinkAddress, Segment
 from .node import Node, PhysicalRoute, RouteTarget, VirtualRoute
 from .packet import DEFAULT_TTL, IPV4_HEADER_SIZE, IPProto, Packet
 from .router import BoundaryRouter, Router
-from .routing import Route, RoutingError, RoutingTable
+from .routing import Route, RoutingTable
 from .simulator import Simulator
 from .tools import TracerouteResult, render_topology, traceroute
 from .topology import Domain, Internet
@@ -85,7 +85,6 @@ __all__ = [
     "BoundaryRouter",
     "Router",
     "Route",
-    "RoutingError",
     "RoutingTable",
     "Simulator",
     "TracerouteResult",

@@ -81,9 +81,6 @@ class FilterEngine:
         self.name = name
         self.hits: dict[str, int] = {}
 
-    def add(self, rule: FilterRule) -> None:
-        self.rules.append(rule)
-
     def evaluate(self, packet: Packet, direction: Direction) -> tuple[Verdict, str]:
         """Return (verdict, reason) for a packet crossing in ``direction``."""
         for rule in self.rules:

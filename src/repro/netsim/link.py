@@ -294,10 +294,6 @@ class Segment:
         """Total serialization time this line has been occupied."""
         return self.busy_bits / self.bandwidth
 
-    @property
-    def interfaces(self) -> List[Interface]:
-        return list(self._interfaces.values())
-
     def interface_with_ip(self, ip: IPAddress) -> Optional[Interface]:
         for iface in self._interfaces.values():
             if iface.owns(ip):

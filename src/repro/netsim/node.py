@@ -132,9 +132,6 @@ class Node:
             iface.attach(segment)
         return iface
 
-    def interface(self, name: str) -> Interface:
-        return self.interfaces[name]
-
     def owns_address(self, ip: IPAddress) -> bool:
         """True if any interface holds ``ip``, as primary or secondary."""
         value = ip.value

@@ -101,7 +101,7 @@ class HostPool:
     """
 
     __slots__ = (
-        "name", "home_base", "size", "lifetime", "built_at",
+        "name", "home_base", "size", "lifetime",
         "registered_at", "alive", "promoted",
         "domain_names", "segments", "_starts", "refreshes",
     )
@@ -112,7 +112,6 @@ class HostPool:
         self.home_base = int(home_base)
         self.size = size
         self.lifetime = float(lifetime)
-        self.built_at = registered_at
         self.registered_at = array("d", [registered_at]) * size
         self.alive = bytearray(b"\x01") * size
         self.promoted = bytearray(size)
@@ -207,28 +206,23 @@ class TimerWheel:
     wheel keeps exactly one event on the engine heap and services one
     bucket per tick, completing a full rotation every ``period``
     simulated seconds (80% of the pool lifetime, like a real client's
-    refresh timer).  A tick re-stamps its bucket's registrations,
-    prunes the binding table (a guarded no-op in steady state), and —
-    on completing a rotation — advances the binding block's
-    conservative expiry floor.
+    refresh timer).  A tick re-stamps its bucket's registrations.
 
     Ticks touch arrays only: no trace entries, no packets, no RNG.
     They are digest-invisible by construction.
     """
 
     def __init__(self, sim: "Simulator", pool: HostPool,
-                 block: "PoolBlock", buckets: int = DEFAULT_WHEEL_BUCKETS):
+                 buckets: int = DEFAULT_WHEEL_BUCKETS):
         if buckets < 1:
             raise ValueError("timer wheel needs at least one bucket")
         self.sim = sim
         self.pool = pool
-        self.block = block
         self.buckets = min(buckets, max(1, pool.size))
         self.period = REFRESH_FRACTION * pool.lifetime
         self.tick_interval = self.period / self.buckets
         self._stride = math.ceil(pool.size / self.buckets) if pool.size else 0
         self._cursor = 0
-        self._cycle_start: Optional[float] = None
         self.ticks = 0
         self.last_serviced = 0
         self._started = False
@@ -241,19 +235,10 @@ class TimerWheel:
             self.tick_interval, self._tick, label=f"{self.pool.name}-wheel")
 
     def _tick(self) -> None:
-        now = self.sim.now
         bucket = self._cursor
-        if bucket == 0:
-            if self._cycle_start is not None:
-                # Every live entry was re-stamped during the completed
-                # rotation, so nothing can expire before the rotation's
-                # start plus the lifetime.
-                self.block.expiry_floor = (
-                    self._cycle_start + self.block.lifetime)
-            self._cycle_start = now
         lo = bucket * self._stride
         hi = min(lo + self._stride, self.pool.size)
-        self.last_serviced = self.pool.refresh_slice(lo, hi, now)
+        self.last_serviced = self.pool.refresh_slice(lo, hi, self.sim.now)
         self.ticks += 1
         self._cursor = (bucket + 1) % self.buckets
         self.sim.events.schedule(
@@ -511,7 +496,7 @@ def install_population(
         start += count
 
     block = ha.register_many(pool)
-    wheel = TimerWheel(sim, pool, block, buckets=buckets)
+    wheel = TimerWheel(sim, pool, buckets=buckets)
     wheel.start()
     population = Population(
         sim, net, pool, ha, ha_ip, home_domain, block, wheel, mode)

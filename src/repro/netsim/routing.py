@@ -20,11 +20,7 @@ from typing import Iterable, List, Optional
 
 from .addressing import IPAddress, Network
 
-__all__ = ["Route", "RoutingTable", "RoutingError"]
-
-
-class RoutingError(Exception):
-    """Raised when no route exists for a destination."""
+__all__ = ["Route", "RoutingTable"]
 
 
 @dataclass(frozen=True)
@@ -108,12 +104,6 @@ class RoutingTable:
             if value & prefix._mask == prefix.prefix:
                 return route
         return None
-
-    def lookup_or_raise(self, destination: IPAddress) -> Route:
-        route = self.lookup(destination)
-        if route is None:
-            raise RoutingError(f"no route to {destination}")
-        return route
 
     @property
     def routes(self) -> List[Route]:

@@ -82,12 +82,6 @@ class Internet:
         # into domain.hosts), kept so detach_host is O(1) instead of a
         # scan over every domain's host list.
         self._host_slots: Dict[str, Tuple[str, int]] = {}
-        # Prefix index for domain_of: (masked prefix value, prefix len)
-        # -> domain, plus the distinct (len, mask) pairs in use.  Domain
-        # prefixes cannot overlap (add_domain enforces it), so at most
-        # one entry matches a given address.
-        self._prefix_index: Dict[Tuple[int, int], Domain] = {}
-        self._prefix_masks: List[Tuple[int, int]] = []  # (len, mask)
         # Attached by repro.netsim.population when the world carries a
         # flyweight host population.
         self.population = None
@@ -214,11 +208,6 @@ class Internet:
             domain.pool_size = pool_size
             domain.pool_base = allocator.reserve_block(pool_size)
         self.domains[name] = domain
-        key = (prefix.prefix, prefix.prefix_len)
-        self._prefix_index[key] = domain
-        mask_entry = (prefix.prefix_len, prefix._mask)
-        if mask_entry not in self._prefix_masks:
-            self._prefix_masks.append(mask_entry)
         self._install_backbone_routes(domain)
         return domain
 
@@ -305,26 +294,3 @@ class Internet:
             if last is not host:
                 hosts[index] = last
                 self._host_slots[last.name] = (domain_name, index)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def domain_distance(self, a: str, b: str) -> int:
-        """Backbone-hop distance between two domains' attachment points."""
-        return abs(self.domains[a].attach_index - self.domains[b].attach_index)
-
-    def domain_of(self, address: IPAddress) -> Optional[Domain]:
-        """The domain whose prefix contains ``address``, if any.
-
-        Indexed by masked prefix bits: one dict probe per distinct
-        prefix length in use, instead of a linear scan over every
-        domain.  Semantics match the scan this replaced — ``None`` when
-        no domain prefix contains the address.
-        """
-        value = int(address)
-        index = self._prefix_index
-        for length, mask in self._prefix_masks:
-            domain = index.get((value & mask, length))
-            if domain is not None:
-                return domain
-        return None

@@ -115,7 +115,7 @@ class TraceLog:
         return self.action_counts["deliver"]
 
     def summary(self) -> str:
-        """A human-readable one-run summary (used by examples)."""
+        """A human-readable one-run summary (docs/TUTORIAL.md §3)."""
         lines = [
             f"events: {sum(self.action_counts.values())}",
             f"delivered: {self.total_deliveries}  dropped: {self.total_drops}",

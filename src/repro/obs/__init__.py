@@ -106,9 +106,7 @@ class Observability:
             "metrics": self.registry.collect(),
         }
         spans = self.spans()
-        # ``open`` stays in the report's format: every span is closed.
-        out["spans"] = {"count": len(spans), "open": 0,
-                        "per_mode": summarize(spans)}
+        out["spans"] = {"count": len(spans), "per_mode": summarize(spans)}
         if self.sampler is not None:
             out["engine"] = {
                 "cadence": self.sampler.cadence,

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, and fixed-bucket histograms.
+"""Metrics registry: counters and gauges, plus fixed-bucket histograms.
 
 The paper's claims are observational — packet fates, byte costs, path
 shapes — so every layer of the simulator carries counters.  Before this
@@ -6,16 +6,17 @@ module they were hand-rolled integer attributes scraped by name from
 ``analysis/collector.py``; now components *register* them here and the
 analysis layer queries the registry.
 
-The registry is **pull-first**: a component registers a metric with a
+The registry is **pull only**: a component registers a metric with a
 ``read`` callback that returns the current value of the plain attribute
 it already maintains (``node.packets_sent += 1`` stays a bare integer
 increment).  The hot path therefore pays nothing — no method call, no
 flag check — and the cost of observability is concentrated entirely in
 :meth:`MetricsRegistry.collect`, which only runs when somebody asks for
 a snapshot: one flat ``{"name{k=v,...}": value}`` object, values only,
-each metric's ``kind`` staying on the live registry.  Push-style metrics
-(``inc``/``set``/``observe``) exist for code that has no natural
-attribute to read, e.g. span summaries.
+each metric's ``kind`` staying on the live registry.  A
+:class:`Histogram` is a plain value that code fills with
+:meth:`Histogram.observe`; the span summaries build theirs directly,
+and none is registered.
 
 This mirrors how production metric systems handle instrumenting code
 that cannot afford per-event overhead (Prometheus custom collectors,
@@ -59,68 +60,36 @@ def _label_key(labels: Dict[str, str]) -> LabelKey:
 
 
 class Counter:
-    """A monotonically non-decreasing count.
-
-    Either *push* (call :meth:`inc`) or *pull* (constructed with a
-    ``read`` callback returning the backing attribute's value) — never
-    both.
-    """
+    """A monotonically non-decreasing count, read from its source: the
+    ``read`` callback returns the backing attribute's value."""
 
     kind = "counter"
-    __slots__ = ("name", "labels", "_value", "_read")
+    __slots__ = ("name", "labels", "_read")
 
     def __init__(
         self,
         name: str,
         labels: Dict[str, str],
-        read: Optional[Callable[[], float]] = None,
+        read: Callable[[], float],
     ):
         self.name = name
         self.labels = labels
-        self._value = 0
         self._read = read
-
-    def inc(self, amount: int = 1) -> None:
-        if self._read is not None:
-            raise RuntimeError(f"{self.name} is a pull counter; mutate its source")
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease (inc {amount})")
-        self._value += amount
 
     @property
     def value(self) -> float:
-        return self._read() if self._read is not None else self._value
+        return self._read()
 
 
-class Gauge:
+class Gauge(Counter):
     """A value that can go up or down (queue depth, binding count)."""
 
     kind = "gauge"
-    __slots__ = ("name", "labels", "_value", "_read")
-
-    def __init__(
-        self,
-        name: str,
-        labels: Dict[str, str],
-        read: Optional[Callable[[], float]] = None,
-    ):
-        self.name = name
-        self.labels = labels
-        self._value = 0.0
-        self._read = read
-
-    def set(self, value: float) -> None:
-        if self._read is not None:
-            raise RuntimeError(f"{self.name} is a pull gauge; mutate its source")
-        self._value = value
-
-    @property
-    def value(self) -> float:
-        return self._read() if self._read is not None else self._value
+    __slots__ = ()
 
 
 class Histogram:
-    """A fixed-boundary histogram (push only).
+    """A fixed-boundary histogram.
 
     ``bounds`` are upper bucket edges; one implicit overflow bucket
     catches everything above the last edge.  Quantiles are estimated by
@@ -128,7 +97,6 @@ class Histogram:
     rank, the standard fixed-bucket estimator.
     """
 
-    kind = "histogram"
     __slots__ = ("name", "labels", "bounds", "bucket_counts",
                  "count", "total", "min", "max")
 
@@ -152,11 +120,6 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-
-    @property
-    def value(self) -> float:
-        """Observation count, for uniformity with counters/gauges."""
-        return self.count
 
     @property
     def mean(self) -> float:
@@ -202,72 +165,50 @@ class MetricsRegistry:
     """All metrics of one simulation run, keyed by (name, labels).
 
     Registration is idempotent: registering an existing (name, labels)
-    pair returns the existing metric — except that a new ``read``
-    callback re-points a pull metric at its newest source, so a
-    re-created component (a re-built segment, a fresh tunnel endpoint)
-    transparently takes over its metric identity.
+    pair returns the existing metric, re-pointed at the new ``read``
+    callback, so a re-created component (a re-built segment, a fresh
+    tunnel endpoint) transparently takes over its metric identity.
 
     *Families* cover dynamically-labelled data that already lives in a
     dict (drop reasons, per-link byte counters): a family is a callback
     returning ``{label_value: number}``, snapshotted on demand under its
-    bare name, so no counter, gauge or histogram may share that name.
+    bare name, so no counter or gauge may share that name.
     """
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, Dict[LabelKey, Any]] = {}
+        self._metrics: Dict[str, Dict[LabelKey, Counter]] = {}
         self._families: Dict[str, Callable[[], Dict[str, float]]] = {}
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
     def counter(
-        self,
-        name: str,
-        read: Optional[Callable[[], float]] = None,
-        **labels: str,
+        self, name: str, read: Callable[[], float], **labels: str
     ) -> Counter:
         return self._register(Counter, name, labels, read)
 
     def gauge(
-        self,
-        name: str,
-        read: Optional[Callable[[], float]] = None,
-        **labels: str,
+        self, name: str, read: Callable[[], float], **labels: str
     ) -> Gauge:
         return self._register(Gauge, name, labels, read)
 
-    def histogram(
-        self, name: str, bounds: Sequence[float] = LATENCY_BUCKETS, **labels: str
-    ) -> Histogram:
-        key = _label_key(labels)
-        by_label = self._by_label(name)
-        existing = by_label.get(key)
-        if existing is not None:
-            if not isinstance(existing, Histogram):
-                raise TypeError(
-                    f"{name}{dict(labels)} already registered as {existing.kind}"
-                )
-            return existing
-        metric = Histogram(name, dict(labels), bounds)
-        by_label[key] = metric
-        return metric
-
-    def _by_label(self, name: str) -> Dict[LabelKey, Any]:
+    def _by_label(self, name: str) -> Dict[LabelKey, Counter]:
         if name in self._families:
             raise TypeError(f"{name} already registered as family")
         return self._metrics.setdefault(name, {})
 
-    def _register(self, cls: type, name: str, labels: Dict[str, str], read) -> Any:
+    def _register(self, cls: type, name: str, labels: Dict[str, str],
+                  read: Callable[[], float]) -> Any:
         key = _label_key(labels)
         by_label = self._by_label(name)
         existing = by_label.get(key)
         if existing is not None:
-            if not isinstance(existing, cls):
+            # Exact type: a Gauge is a Counter subclass.
+            if type(existing) is not cls:
                 raise TypeError(
                     f"{name}{dict(labels)} already registered as {existing.kind}"
                 )
-            if read is not None:
-                existing._read = read
+            existing._read = read
             return existing
         metric = cls(name, dict(labels), read)
         by_label[key] = metric
@@ -283,7 +224,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def get(self, name: str, **labels: str) -> Optional[Any]:
+    def get(self, name: str, **labels: str) -> Optional[Counter]:
         return self._metrics.get(name, {}).get(_label_key(labels))
 
     def value(self, name: str, **labels: str) -> float:
@@ -297,16 +238,9 @@ class MetricsRegistry:
         for metric in self._metrics.get(name, {}).values():
             yield dict(metric.labels), metric.value
 
-    def total(self, name: str) -> float:
-        """Sum of ``name`` across all label sets."""
-        return sum(value for _, value in self.series(name))
-
     def read_family(self, name: str) -> Dict[str, float]:
         read = self._families.get(name)
         return dict(read()) if read is not None else {}
-
-    def names(self) -> List[str]:
-        return sorted(set(self._metrics) | set(self._families))
 
     # ------------------------------------------------------------------
     # Export
@@ -314,14 +248,13 @@ class MetricsRegistry:
     def collect(self) -> Dict[str, Any]:
         """Snapshot every series into one flat JSON object keyed
         ``name{k=v,...}`` (labels sorted by key; bare ``name`` without
-        labels), valued by a counter's or gauge's number, a histogram's
-        :meth:`Histogram.snapshot` or a family's dict.
+        labels), valued by a counter's or gauge's number or a family's
+        dict.
         """
         out: Dict[str, Any] = {}
         for name in sorted(self._metrics):
             for key, metric in self._metrics[name].items():
-                out[name + key] = (metric.snapshot() if isinstance(metric, Histogram)
-                                   else metric.value)
+                out[name + key] = metric.value
         for name in sorted(self._families):
             out[name] = self.read_family(name)
         return out

@@ -159,14 +159,6 @@ class TestModeAttributes:
         for mode in (OutMode.OUT_IE, OutMode.OUT_DE, OutMode.OUT_DH):
             assert mode.uses_home_address
 
-    def test_conservativeness_ordering(self):
-        """§7.1.2: the probe ladder Out-DH < Out-DE < Out-IE."""
-        assert (
-            OutMode.OUT_DH.conservativeness
-            < OutMode.OUT_DE.conservativeness
-            < OutMode.OUT_IE.conservativeness
-        )
-
     def test_mode_values_match_paper_names(self):
         assert OutMode.OUT_IE.value == "Out-IE"
         assert InMode.IN_DT.value == "In-DT"

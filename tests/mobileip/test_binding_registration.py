@@ -164,7 +164,6 @@ def _block_table(count=8, base=None, now=0.0, lifetime=100.0):
         care_of=lambda index: COA.value + index,
         registered_at=array("d", [now] * count),
         lifetime=lifetime,
-        now=now,
         alive=bytearray(b"\x01") * count,
     )
     return table, block
@@ -216,7 +215,6 @@ class TestPoolBlocks:
                 care_of=lambda index: COA.value,
                 registered_at=array("d", [0.0] * 8),
                 lifetime=100.0,
-                now=0.0,
                 alive=bytearray(b"\x01") * 8,
             )
 
@@ -240,39 +238,6 @@ class TestPoolBlocks:
         assert block.live == 7
         assert table.deregistrations == 1
         assert table.lookup(target, now=0.0) is None
-
-    def test_prune_respects_the_expiry_floor(self):
-        table, block = _block_table(now=0.0, lifetime=100.0)
-        assert table.prune(now=99.0) == 0  # floor ahead of clock: no scan
-        assert block.live == 8
-        assert table.prune(now=100.0) == 8
-        assert block.live == 0
-        assert table.expirations == 8
-
-    def test_prune_boundary_is_exact(self):
-        table, block = _block_table(now=10.0, lifetime=100.0)
-        # Refresh half the block to a later timestamp, as the wheel would.
-        for index in range(4):
-            block.registered_at[index] = 60.0
-        pruned = table.prune(now=110.0)
-        assert pruned == 4  # exactly the unrefreshed half, at the boundary
-        assert [bool(b) for b in block.alive] == [True] * 4 + [False] * 4
-        # The floor now reflects the survivors' expiry.
-        assert block.expiry_floor == 160.0
-
-    def test_prune_is_safe_during_active_snapshot_iteration(self):
-        # prune() collects then deletes: mutating while a caller walks a
-        # snapshot of active() must not blow up or skip entries.
-        table = BindingTable()
-        for offset in range(6):
-            table.register(IPAddress(HOME.value + offset), COA,
-                           now=0.0, lifetime=10.0 if offset % 2 else 1000.0)
-        snapshot = table.active(now=0.0)
-        for binding in snapshot:
-            table.prune(now=500.0)  # expires the short-lived half
-            assert binding.home_address is not None
-        assert len(table) == 3
-        assert table.expirations == 3
 
     def test_flush_counts_block_entries(self):
         table, block = _block_table(count=5)

@@ -1,11 +1,10 @@
 """Tests for longest-prefix-match routing tables."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.addressing import IPAddress, Network
-from repro.netsim.routing import RoutingError, RoutingTable
+from repro.netsim.routing import RoutingTable
 
 
 class TestLookup:
@@ -39,11 +38,6 @@ class TestLookup:
         table = RoutingTable()
         table.add(Network("10.1.0.0/16"), "lan")
         assert table.lookup(IPAddress("11.0.0.1")) is None
-
-    def test_lookup_or_raise(self):
-        table = RoutingTable()
-        with pytest.raises(RoutingError):
-            table.lookup_or_raise(IPAddress("1.2.3.4"))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_chosen_route_always_contains_destination(self, value):

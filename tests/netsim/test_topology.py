@@ -33,13 +33,8 @@ class TestConstruction:
         net = Internet(sim, backbone_size=5)
         net.add_domain("a", "10.1.0.0/16", attach_at=0)
         net.add_domain("b", "10.2.0.0/16", attach_at=4)
-        assert net.domain_distance("a", "b") == 4
-
-    def test_domain_of(self, sim):
-        net = Internet(sim)
-        net.add_domain("a", "10.1.0.0/16")
-        assert net.domain_of(IPAddress("10.1.2.3")).name == "a"
-        assert net.domain_of(IPAddress("11.0.0.1")) is None
+        assert abs(net.domains["a"].attach_index
+                   - net.domains["b"].attach_index) == 4
 
 
 class TestConnectivity:
@@ -169,24 +164,6 @@ class TestHostSlotIndex:
         stranger = Node("x", sim)
         net.detach_host(stranger)  # no iface -> ignored
         assert net._host_slots == {}
-
-
-class TestDomainIndex:
-    def test_mixed_prefix_lengths(self, sim):
-        net = Internet(sim)
-        net.add_domain("wide", "10.0.0.0/8")
-        net.add_domain("narrow", "192.168.4.0/24")
-        assert net.domain_of(IPAddress("10.200.1.1")).name == "wide"
-        assert net.domain_of(IPAddress("192.168.4.9")).name == "narrow"
-        assert net.domain_of(IPAddress("192.168.5.1")) is None
-        assert net.domain_of(IPAddress("11.0.0.1")) is None
-
-    def test_index_tracks_added_domains(self, sim):
-        net = Internet(sim)
-        net.add_domain("a", "10.1.0.0/16")
-        assert net.domain_of(IPAddress("10.2.0.1")) is None
-        net.add_domain("b", "10.2.0.0/16")
-        assert net.domain_of(IPAddress("10.2.0.1")).name == "b"
 
 
 class TestPoolReservation:

@@ -139,7 +139,6 @@ class TestObservabilityFacade:
         obs.finish()
         report = obs.report()
         assert report["sim_time"] == scenario.sim.now
-        assert report["spans"]["open"] == 0
         assert report["spans"]["count"] >= 1
         assert report["engine"]["summary"]["samples"] >= 1
         assert "node.packets_sent{node=mh}" in report["metrics"]
@@ -162,5 +161,5 @@ class TestObservabilityFacade:
         assert sim.obs is None
         obs = sim.enable_observability(engine_cadence=None)
         assert obs.export_chrome_trace(tmp_path / "trace.json") == 1
-        assert obs.report()["spans"] == {"count": 0, "open": 0, "per_mode": {}}
+        assert obs.report()["spans"] == {"count": 0, "per_mode": {}}
         assert "engine" not in obs.report()

@@ -176,6 +176,24 @@ class TestObsSubcommand:
         assert "node.packets_sent{node=mh}" in report["metrics"]
         assert report["engine"]["summary"]["samples"] >= 1
 
+    def test_obs_folds_the_trace_once_per_output(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # One fold for the run's report, which --obs-out writes as it
+        # is, and one for the Chrome file: none for a second report.
+        import repro.obs
+
+        folds = []
+        fold = repro.obs.datagrams
+
+        def counted(*args, **kwargs):
+            folds.append(1)
+            return fold(*args, **kwargs)
+
+        monkeypatch.setattr(repro.obs, "datagrams", counted)
+        assert main(["--seed", "1996", "--obs-out", str(tmp_path / "r.json"),
+                     "obs", "--chrome-trace", str(tmp_path / "c.json")]) == 0
+        assert len(folds) == 2
+
     def test_obs_output_bytes_are_pinned(self, tmp_path):
         # Pins the span fold's order, ids and arg order, which the
         # report's per-mode summary and the Chrome file both show.  Run
@@ -195,8 +213,8 @@ class TestObsSubcommand:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in ("obs.json", "chrome.json")}
         assert digests == {
-            "obs.json": "05060584860efbaacac10fd1659b6b1c"
-                        "1bedb4e934a93509ad9fe8c01e8f2ea8",
+            "obs.json": "b49b157e0d2e2c70bf30def86475c627"
+                        "8fc8f1d3ee2e43b41c2f3626137fff0e",
             "chrome.json": "e9b1b324fd6bb38a692acdd5da5eb215"
                            "f5b8ce53dcb69aea29bade8436ef8ac5",
         }

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import GRID, CellClass, InMode
-from repro.analysis import TextTable
 from repro.analysis.scenarios import MH_HOME_ADDRESS, build_scenario
 from repro.mobileip import Awareness
 from repro.netsim import IPAddress, Network, Node
@@ -89,11 +88,3 @@ class TestCorrespondentHelpers:
         assert scenario.ch.direct_tunneled == 0
         assert scenario.ha.packets_tunneled == 1
 
-
-class TestReporting:
-    def test_table_print_goes_to_stdout(self, capsys):
-        table = TextTable("T", ["a"])
-        table.add_row(1)
-        table.print()
-        out = capsys.readouterr().out
-        assert "== T ==" in out
