@@ -14,18 +14,25 @@ The package layers, bottom to top:
   NFS, multicast) used by examples and benchmarks.
 * :mod:`repro.analysis` — metrics, canonical figure scenarios, and
   reporting helpers.
+
+Above them sit :mod:`repro.experiment` (specs, the runner, sweeps and
+the result cache), :mod:`repro.obs` (metrics, spans, the run ledger),
+:mod:`repro.verify` (invariants, adversaries, fuzzing) and
+:mod:`repro.bench` (the golden trace digest).
+
+Subpackages, and the names each exports, load on first use (see
+:mod:`repro._lazy`): ``import repro`` loads no simulator, and
+``repro.netsim.Simulator`` imports just what it needs.
 """
+
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-from . import analysis, apps, core, mobileip, netsim, transport  # noqa: F401
-
-__all__ = [
-    "analysis",
-    "apps",
-    "core",
-    "mobileip",
-    "netsim",
-    "transport",
-    "__version__",
-]
+__all__, __getattr__ = lazy_exports(globals(), {
+    package: (package,) for package in (
+        "analysis", "apps", "bench", "core", "experiment", "mobileip",
+        "netsim", "obs", "transport", "verify",
+    )
+})
+__all__.append("__version__")

@@ -6,23 +6,12 @@
 * :mod:`repro.analysis.reporting` — plain-text tables for benchmarks.
 """
 
-from .chaos import CHAOS_PORT, ChaosReport, demo_plan, run_chaos
-from .collector import ScenarioSnapshot, snapshot
-from .metrics import path_stretch
-from .reporting import TextTable, ascii_series
-from .scenarios import MH_HOME_ADDRESS, Scenario, build_scenario
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CHAOS_PORT",
-    "ChaosReport",
-    "demo_plan",
-    "run_chaos",
-    "ScenarioSnapshot",
-    "snapshot",
-    "path_stretch",
-    "TextTable",
-    "ascii_series",
-    "MH_HOME_ADDRESS",
-    "Scenario",
-    "build_scenario",
-]
+__all__, __getattr__ = lazy_exports(globals(), {
+    "chaos": ("CHAOS_PORT", "ChaosReport", "demo_plan", "run_chaos"),
+    "collector": ("ScenarioSnapshot", "snapshot"),
+    "metrics": ("path_stretch",),
+    "reporting": ("TextTable", "ascii_series"),
+    "scenarios": ("MH_HOME_ADDRESS", "Scenario", "build_scenario"),
+})

@@ -12,33 +12,13 @@
   §3.3's overheads).
 """
 
-from .bulk import BULK_PORT, BulkClient, BulkResult, BulkServer
-from .dnsapp import DNSLookupWorkload, LookupRecord
-from .http import HTTP_PORT, FetchResult, HTTPClient, HTTPServer
-from .multicast import HomeTunnelRelay, MulticastReceiver, MulticastSource
-from .nfs import NFS_PORT, NFSClient, NFSRequest, NFSResponse, NFSServer
-from .telnet import TELNET_PORT, TelnetServer, TelnetSession
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BULK_PORT",
-    "BulkClient",
-    "BulkResult",
-    "BulkServer",
-    "DNSLookupWorkload",
-    "LookupRecord",
-    "HTTP_PORT",
-    "FetchResult",
-    "HTTPClient",
-    "HTTPServer",
-    "HomeTunnelRelay",
-    "MulticastReceiver",
-    "MulticastSource",
-    "NFS_PORT",
-    "NFSClient",
-    "NFSRequest",
-    "NFSResponse",
-    "NFSServer",
-    "TELNET_PORT",
-    "TelnetServer",
-    "TelnetSession",
-]
+__all__, __getattr__ = lazy_exports(globals(), {
+    "bulk": ("BULK_PORT", "BulkClient", "BulkResult", "BulkServer"),
+    "dnsapp": ("DNSLookupWorkload", "LookupRecord"),
+    "http": ("HTTP_PORT", "FetchResult", "HTTPClient", "HTTPServer"),
+    "multicast": ("HomeTunnelRelay", "MulticastReceiver", "MulticastSource"),
+    "nfs": ("NFS_PORT", "NFSClient", "NFSRequest", "NFSResponse", "NFSServer"),
+    "telnet": ("TELNET_PORT", "TelnetServer", "TelnetSession"),
+})

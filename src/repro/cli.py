@@ -71,15 +71,12 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
-from .analysis.scenarios import MH_HOME_ADDRESS, build_scenario
-from .core.grid import GRID
-from .core.modes import AddressPlan, InMode, OutMode, build_incoming_direct, build_outgoing
-from .experiment import ExperimentSpec, SpecError
-from .mobileip import Awareness
-from .netsim import IPAddress, render_topology, traceroute
-from .netsim.packet import IPProto
+from .experiment.spec import ExperimentSpec, SpecError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .core.modes import InMode, OutMode
 
 __all__ = ["main"]
 
@@ -104,6 +101,8 @@ def _build_scenario(args: argparse.Namespace, spec: ExperimentSpec):
     global ``--obs-out`` flag can enable the observability layer on
     each scenario and collect the reports for ``main`` to merge.
     """
+    from .analysis.scenarios import build_scenario
+
     scenario = build_scenario(**spec.scenario_kwargs())
     if args.obs_out:
         args._obs.append(scenario.sim.enable_observability())
@@ -127,6 +126,9 @@ def _write_json(path: str, payload: Any, what: str) -> None:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
+    from .core.grid import GRID
+    from .core.modes import InMode, OutMode
+
     print(GRID.render())
     if not args.live:
         return 0
@@ -148,7 +150,11 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _run_cell(in_mode: InMode, out_mode: OutMode, args: argparse.Namespace) -> bool:
-    from .transport import UDPDatagram
+    from .analysis.scenarios import MH_HOME_ADDRESS
+    from .core.modes import AddressPlan, InMode, build_outgoing
+    from .mobileip.awareness import Awareness
+    from .netsim.packet import IPProto
+    from .transport.udp import UDPDatagram
 
     scenario = _build_scenario(args, spec_from_args(
         args,
@@ -180,6 +186,15 @@ def _run_cell(in_mode: InMode, out_mode: OutMode, args: argparse.Namespace) -> b
 
 
 def _cmd_modes(args: argparse.Namespace) -> int:
+    from .core.modes import (
+        AddressPlan,
+        InMode,
+        OutMode,
+        build_incoming_direct,
+        build_outgoing,
+    )
+    from .netsim.addressing import IPAddress
+
     plan = AddressPlan(
         home=IPAddress("10.1.0.10"), care_of=IPAddress("10.2.0.2"),
         home_agent=IPAddress("10.1.0.1"), correspondent=IPAddress("10.3.0.2"),
@@ -205,6 +220,9 @@ def _describe(packet) -> str:
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
+    from .analysis.scenarios import MH_HOME_ADDRESS
+    from .netsim.tools import render_topology
+
     scenario = _build_scenario(args, spec_from_args(args))
     print(render_topology(scenario.net))
     print(f"\nmobile host: home {MH_HOME_ADDRESS}, care-of "
@@ -213,6 +231,9 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .analysis.scenarios import MH_HOME_ADDRESS
+    from .netsim.tools import traceroute
+
     scenario = _build_scenario(
         args, spec_from_args(args, visited_filtering=False))
     names = {}
@@ -240,7 +261,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_durability(args: argparse.Namespace) -> int:
-    from .apps import TelnetServer, TelnetSession
+    from .apps.telnet import TelnetServer, TelnetSession
 
     for label, bound in (("Mobile IP (home endpoint)", False),
                          ("no Mobile IP (care-of endpoint)", True)):
@@ -263,12 +284,14 @@ def _cmd_durability(args: argparse.Namespace) -> int:
 
 def _cmd_obs(args: argparse.Namespace) -> int:
     """Run canonical traffic with the full observability layer on."""
-    from .experiment import Runner, TrafficProgram
+    from .experiment.runner import Runner
+    from .experiment.spec import TrafficProgram
 
-    if args.datagrams < 0:
-        print(f"error: --datagrams must be >= 0, got {args.datagrams}",
-              file=sys.stderr)
-        return 1
+    for flag, value in (("--datagrams", args.datagrams),
+                        ("--duration", args.duration)):
+        if value < 0:
+            print(f"error: {flag} must be >= 0, got {value}", file=sys.stderr)
+            return 1
     traffic = None
     if args.datagrams > 0:
         traffic = TrafficProgram(port=7000, uniform={
@@ -439,15 +462,9 @@ def _progress_renderer():
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Expand a spec grid and fan the runs out across processes."""
-    from .experiment import (
-        CellFailedError,
-        ExperimentSpec,
-        ResultCache,
-        SpecGrid,
-        SweepCheckpoint,
-        SweepExecutor,
-        demo_grid,
-    )
+    from .experiment.cache import ResultCache
+    from .experiment.supervise import CellFailedError, SweepCheckpoint
+    from .experiment.sweep import SpecGrid, SweepExecutor, demo_grid
     from .obs.ledger import RunLedger
 
     for ok, problem in (
@@ -651,7 +668,7 @@ def _cmd_mega(args: argparse.Namespace) -> int:
     runner = None
     observe = bool(args.obs_out)
     try:
-        from .experiment import Runner
+        from .experiment.runner import Runner
 
         runner = Runner()
         report = run_mega(
@@ -956,6 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_policy(args: argparse.Namespace) -> int:
     from .core.policy import MobilityPolicyTable
+    from .netsim.addressing import IPAddress
 
     try:
         with open(args.file) as handle:

@@ -16,48 +16,19 @@
   the above into the two decisions a mobile host makes.
 """
 
-from .decision import CorrespondentKnowledge, MobilityEngine
-from .feedback import RemoteHealth, RetransmissionDetector
-from .grid import GRID, CellClass, FourByFourGrid, GridCell, Requirement
-from .heuristics import AddressChoice, BindIntent, PortHeuristics
-from .modes import (
-    AddressPlan,
-    InMode,
-    ModeError,
-    OutMode,
-    build_incoming_direct,
-    build_outgoing,
-    classify_incoming,
-    classify_outgoing,
-)
-from .policy import Disposition, MobilityPolicyTable, PolicyRule
-from .selection import CorrespondentRecord, DeliveryMethodCache, ProbeStrategy
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CorrespondentKnowledge",
-    "MobilityEngine",
-    "RemoteHealth",
-    "RetransmissionDetector",
-    "GRID",
-    "CellClass",
-    "FourByFourGrid",
-    "GridCell",
-    "Requirement",
-    "AddressChoice",
-    "BindIntent",
-    "PortHeuristics",
-    "AddressPlan",
-    "InMode",
-    "ModeError",
-    "OutMode",
-    "build_incoming_direct",
-    "build_outgoing",
-    "classify_incoming",
-    "classify_outgoing",
-    "Disposition",
-    "MobilityPolicyTable",
-    "PolicyRule",
-    "CorrespondentRecord",
-    "DeliveryMethodCache",
-    "ProbeStrategy",
-]
+__all__, __getattr__ = lazy_exports(globals(), {
+    "decision": ("CorrespondentKnowledge", "MobilityEngine"),
+    "feedback": ("RemoteHealth", "RetransmissionDetector"),
+    "grid": ("GRID", "CellClass", "FourByFourGrid", "GridCell", "Requirement"),
+    "heuristics": ("AddressChoice", "BindIntent", "PortHeuristics"),
+    "modes": (
+        "AddressPlan", "InMode", "ModeError", "OutMode",
+        "build_incoming_direct", "build_outgoing", "classify_incoming",
+        "classify_outgoing",
+    ),
+    "policy": ("Disposition", "MobilityPolicyTable", "PolicyRule"),
+    "selection": ("CorrespondentRecord", "DeliveryMethodCache"),
+    "strategy": ("ProbeStrategy",),
+})

@@ -28,12 +28,12 @@ received from the correspondent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Dict, List, Optional, Set
 
 from ..netsim.addressing import IPAddress
 from .modes import OutMode
 from .policy import Disposition, MobilityPolicyTable
+from .strategy import ProbeStrategy
 
 __all__ = ["ProbeStrategy", "CorrespondentRecord", "DeliveryMethodCache"]
 
@@ -44,12 +44,6 @@ LADDER_AGGRESSIVE_FIRST: List[OutMode] = [
     OutMode.OUT_IE,
 ]
 DEFAULT_UPGRADE_AFTER = 4   # consecutive successes before a tentative upgrade
-
-
-class ProbeStrategy(Enum):
-    CONSERVATIVE_FIRST = "conservative-first"
-    AGGRESSIVE_FIRST = "aggressive-first"
-    RULE_SEEDED = "rule-seeded"
 
 
 @dataclass

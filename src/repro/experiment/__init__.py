@@ -5,7 +5,7 @@
   program, fault plan, adversary schedule, arming, seed);
 * :mod:`repro.experiment.runner` — :class:`Runner`, the canonical
   build → arm → drive → collect sequence, returning a plain-data
-  :class:`RunResult`;
+  :class:`RunResult` (:mod:`repro.experiment.result`);
 * :mod:`repro.experiment.sweep` — :class:`SpecGrid` expansion and the
   :class:`SweepExecutor` that fans runs out across worker processes
   with byte-identical-to-serial per-run trace digests;
@@ -16,50 +16,22 @@
 See docs/ARCHITECTURE.md §10 and §14.
 """
 
-from .cache import CACHE_SALT, ResultCache, default_cache_dir, spec_digest
-from .runner import Runner, RunResult
-from .spec import (
-    ADVERSARY_KINDS,
-    ExperimentSpec,
-    SpecError,
-    TrafficProgram,
-    canonical_traffic_spec,
-)
-from .supervise import (
-    FAULT_ENV,
-    CellFailedError,
-    SweepCheckpoint,
-    WorkerSupervisor,
-    maybe_inject_fault,
-)
-from .sweep import (
-    SpecGrid,
-    SweepExecutor,
-    SweepResult,
-    demo_grid,
-    failed_result,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ADVERSARY_KINDS",
-    "CACHE_SALT",
-    "CellFailedError",
-    "FAULT_ENV",
-    "ExperimentSpec",
-    "ResultCache",
-    "Runner",
-    "RunResult",
-    "SpecError",
-    "SpecGrid",
-    "SweepCheckpoint",
-    "SweepExecutor",
-    "SweepResult",
-    "TrafficProgram",
-    "WorkerSupervisor",
-    "canonical_traffic_spec",
-    "default_cache_dir",
-    "demo_grid",
-    "failed_result",
-    "maybe_inject_fault",
-    "spec_digest",
-]
+__all__, __getattr__ = lazy_exports(globals(), {
+    "cache": ("CACHE_SALT", "ResultCache", "default_cache_dir", "spec_digest"),
+    "result": ("RunResult",),
+    "runner": ("Runner",),
+    "spec": (
+        "ADVERSARY_KINDS", "ExperimentSpec", "SpecError", "TrafficProgram",
+        "canonical_traffic_spec",
+    ),
+    "supervise": (
+        "FAULT_ENV", "CellFailedError", "SweepCheckpoint", "WorkerSupervisor",
+        "maybe_inject_fault",
+    ),
+    "sweep": (
+        "SpecGrid", "SweepExecutor", "SweepResult", "demo_grid",
+        "failed_result",
+    ),
+})

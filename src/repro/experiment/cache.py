@@ -2,7 +2,7 @@
 
 An :class:`~repro.experiment.spec.ExperimentSpec` is JSON-canonical
 and the :class:`~repro.experiment.runner.Runner` is seed-deterministic,
-so a run's entire :class:`~repro.experiment.runner.RunResult` is a pure
+so a run's entire :class:`~repro.experiment.result.RunResult` is a pure
 function of the spec's content.  :class:`ResultCache` exploits that:
 the cache key is the SHA-256 of the spec's canonical JSON plus a
 code-version salt (:data:`CACHE_SALT`), and the value is the result's
@@ -40,7 +40,7 @@ import os
 from typing import Any, Dict, Optional
 
 from ..obs.ledger import replace_file
-from .runner import RunResult
+from .result import RunResult
 from .spec import ExperimentSpec
 
 __all__ = ["CACHE_SALT", "ResultCache", "default_cache_dir", "spec_digest"]

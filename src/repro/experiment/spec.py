@@ -31,9 +31,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
-from ..analysis.scenarios import SCENARIO_KNOBS
-from ..core.selection import ProbeStrategy
-from ..mobileip.correspondent import Awareness
+from ..core.strategy import ProbeStrategy
+from ..mobileip.awareness import Awareness
 from ..netsim.encap import EncapScheme
 from ..netsim.faults import FaultError, FaultPlan
 
@@ -426,7 +425,13 @@ class ExperimentSpec:
     # The bridge to the scenario builder
     # ------------------------------------------------------------------
     def scenario_kwargs(self) -> Dict[str, Any]:
-        """Keyword arguments for :func:`build_scenario`, exactly."""
+        """Keyword arguments for :func:`build_scenario`, exactly.
+
+        Only a run builds a world, so the builder's module loads here,
+        not when a spec is parsed, cached or compared.
+        """
+        from ..analysis.scenarios import SCENARIO_KNOBS
+
         kwargs: Dict[str, Any] = {
             "seed": self.seed,
             "backbone_size": self.backbone_size,

@@ -45,7 +45,7 @@ from ..obs.ledger import (
     sweep_start_record,
 )
 from .cache import ResultCache
-from .runner import Runner, RunResult, gc_paused
+from .result import RunResult
 from .spec import ExperimentSpec, SpecError, TrafficProgram, drop_retired_fields
 from .supervise import (
     CellFailedError,
@@ -276,11 +276,15 @@ def _execute_payload(payload: Dict[str, Any], attempt: int) -> Dict[str, Any]:
     directive for the cell has fired.
 
     Module-level so it pickles by reference under the ``spawn`` start
-    method (workers re-import :mod:`repro.experiment.sweep`).  The
-    runner, and with it the cell's world, is dropped inside the GC
-    pause, so the first collection after the cell frees the world
-    (see :func:`~repro.experiment.runner.gc_paused`).
+    method (workers re-import :mod:`repro.experiment.sweep`).  It
+    imports the runner itself, so a sweep whose every cell comes from
+    the cache or a checkpoint loads no simulator.  The runner, and with
+    it the cell's world, is dropped inside the GC pause, so the first
+    collection after the cell frees the world (see
+    :func:`~repro.experiment.runner.gc_paused`).
     """
+    from .runner import Runner, gc_paused
+
     spec = ExperimentSpec.from_dict(payload["spec"])
     maybe_inject_fault(spec.label or "", attempt)
     with gc_paused():

@@ -13,50 +13,22 @@ The cast of the paper's figures:
   record extension.
 """
 
-from .binding import Binding, BindingTable
-from .correspondent import Awareness, CorrespondentHost
-from .dns import (
-    DNS_PORT,
-    DNSAnswer,
-    DNSQuery,
-    DNSServer,
-    DNSUpdate,
-    DNSUpdateAck,
-    Resolver,
-)
-from .foreign_agent import ForeignAgent
-from .home_agent import HomeAgent
-from .mobile_host import MobileHost
-from .registration import (
-    MOBILE_IP_PORT,
-    AgentAdvertisement,
-    AgentSolicitation,
-    RegistrationReply,
-    RegistrationRequest,
-    ReplyCode,
-)
-from .tunnel import TunnelEndpoint
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Binding",
-    "BindingTable",
-    "Awareness",
-    "CorrespondentHost",
-    "DNS_PORT",
-    "DNSAnswer",
-    "DNSQuery",
-    "DNSServer",
-    "DNSUpdate",
-    "DNSUpdateAck",
-    "Resolver",
-    "ForeignAgent",
-    "HomeAgent",
-    "MobileHost",
-    "MOBILE_IP_PORT",
-    "AgentAdvertisement",
-    "AgentSolicitation",
-    "RegistrationReply",
-    "RegistrationRequest",
-    "ReplyCode",
-    "TunnelEndpoint",
-]
+__all__, __getattr__ = lazy_exports(globals(), {
+    "awareness": ("Awareness",),
+    "binding": ("Binding", "BindingTable"),
+    "correspondent": ("CorrespondentHost",),
+    "dns": (
+        "DNS_PORT", "DNSAnswer", "DNSQuery", "DNSServer", "DNSUpdate",
+        "DNSUpdateAck", "Resolver",
+    ),
+    "foreign_agent": ("ForeignAgent",),
+    "home_agent": ("HomeAgent",),
+    "mobile_host": ("MobileHost",),
+    "registration": (
+        "MOBILE_IP_PORT", "AgentAdvertisement", "AgentSolicitation",
+        "RegistrationReply", "RegistrationRequest", "ReplyCode",
+    ),
+    "tunnel": ("TunnelEndpoint",),
+})

@@ -20,7 +20,6 @@ Figure 10's rows correspond to what the correspondent can do:
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from ..netsim.addressing import IPAddress
@@ -29,6 +28,7 @@ from ..netsim.icmp import CareOfAdvisory, IcmpMessage, IcmpType
 from ..netsim.node import Node, RouteTarget, VirtualRoute
 from ..netsim.packet import Packet
 from ..transport.sockets import TransportStack
+from .awareness import Awareness
 from .binding import BindingTable
 from .tunnel import TunnelEndpoint
 
@@ -36,12 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..netsim.simulator import Simulator
 
 __all__ = ["Awareness", "CorrespondentHost"]
-
-
-class Awareness(Enum):
-    CONVENTIONAL = "conventional"
-    DECAP_CAPABLE = "decap-capable"
-    MOBILE_AWARE = "mobile-aware"
 
 
 class CorrespondentHost(Node):

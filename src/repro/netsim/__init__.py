@@ -12,86 +12,32 @@ Everything above it — Mobile IP (:mod:`repro.mobileip`), transport
 :class:`Node`'s IP send/receive interface and route-override hook.
 """
 
-from .addressing import AddressAllocator, AddressError, IPAddress, Network
-from .encap import EncapScheme, decapsulate, encap_overhead, encapsulate
-from .events import Event, EventQueue, SimClock
-from .faults import FaultError, FaultEvent, FaultInjector, FaultKind, FaultPlan
-from .filters import (
-    Direction,
-    FilterEngine,
-    FilterRule,
-    Verdict,
-    egress_source_filter,
-    ingress_spoof_filter,
-    transit_traffic_filter,
-)
-from .fragmentation import FragmentationNeeded, Reassembler, fragment
-from .icmp import CareOfAdvisory, EchoData, IcmpMessage, IcmpType, make_icmp_packet
-from .link import ETHERNET_MTU, Frame, Interface, LinkAddress, Segment
-from .node import Node, PhysicalRoute, RouteTarget, VirtualRoute
-from .packet import DEFAULT_TTL, IPV4_HEADER_SIZE, IPProto, Packet
-from .router import BoundaryRouter, Router
-from .routing import Route, RoutingTable
-from .simulator import Simulator
-from .tools import TracerouteResult, render_topology, traceroute
-from .topology import Domain, Internet
-from .trace import TraceEntry, TraceLog
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AddressAllocator",
-    "AddressError",
-    "IPAddress",
-    "Network",
-    "EncapScheme",
-    "decapsulate",
-    "encap_overhead",
-    "encapsulate",
-    "Event",
-    "EventQueue",
-    "SimClock",
-    "FaultError",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "Direction",
-    "FilterEngine",
-    "FilterRule",
-    "Verdict",
-    "egress_source_filter",
-    "ingress_spoof_filter",
-    "transit_traffic_filter",
-    "FragmentationNeeded",
-    "Reassembler",
-    "fragment",
-    "CareOfAdvisory",
-    "EchoData",
-    "IcmpMessage",
-    "IcmpType",
-    "make_icmp_packet",
-    "ETHERNET_MTU",
-    "Frame",
-    "Interface",
-    "LinkAddress",
-    "Segment",
-    "Node",
-    "PhysicalRoute",
-    "RouteTarget",
-    "VirtualRoute",
-    "DEFAULT_TTL",
-    "IPV4_HEADER_SIZE",
-    "IPProto",
-    "Packet",
-    "BoundaryRouter",
-    "Router",
-    "Route",
-    "RoutingTable",
-    "Simulator",
-    "TracerouteResult",
-    "render_topology",
-    "traceroute",
-    "Domain",
-    "Internet",
-    "TraceEntry",
-    "TraceLog",
-]
+__all__, __getattr__ = lazy_exports(globals(), {
+    "addressing": ("AddressAllocator", "AddressError", "IPAddress", "Network"),
+    "encap": ("EncapScheme", "decapsulate", "encap_overhead", "encapsulate"),
+    "events": ("Event", "EventQueue", "SimClock"),
+    "faults": (
+        "FaultError", "FaultEvent", "FaultInjector", "FaultKind", "FaultPlan",
+    ),
+    "filters": (
+        "Direction", "FilterEngine", "FilterRule", "Verdict",
+        "egress_source_filter", "ingress_spoof_filter",
+        "transit_traffic_filter",
+    ),
+    "fragmentation": ("FragmentationNeeded", "Reassembler", "fragment"),
+    "icmp": (
+        "CareOfAdvisory", "EchoData", "IcmpMessage", "IcmpType",
+        "make_icmp_packet",
+    ),
+    "link": ("ETHERNET_MTU", "Frame", "Interface", "LinkAddress", "Segment"),
+    "node": ("Node", "PhysicalRoute", "RouteTarget", "VirtualRoute"),
+    "packet": ("DEFAULT_TTL", "IPV4_HEADER_SIZE", "IPProto", "Packet"),
+    "router": ("BoundaryRouter", "Router"),
+    "routing": ("Route", "RoutingTable"),
+    "simulator": ("Simulator",),
+    "tools": ("TracerouteResult", "render_topology", "traceroute"),
+    "topology": ("Domain", "Internet"),
+    "trace": ("TraceEntry", "TraceLog"),
+})

@@ -19,8 +19,8 @@ from .link import Segment
 from .trace import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..obs import Observability
     from ..obs.flightrec import FlightRecorder
+    from ..obs.observability import Observability
     from ..verify.invariants import InvariantMonitor
     from .node import Node
 
@@ -111,7 +111,7 @@ class Simulator:
         """
         if self.obs is not None:
             raise RuntimeError("observability is already enabled for this run")
-        from ..obs import Observability
+        from ..obs.observability import Observability
 
         self.obs = Observability(self, engine_cadence=engine_cadence).enable()
         return self.obs

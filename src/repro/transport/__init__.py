@@ -6,28 +6,15 @@ addresses change), the connect-time address decision point, and the
 original/retransmission reporting interface of §7.1.2.
 """
 
-from .sockets import SourceSelector, TransportObserver, TransportStack, UDPSocket
-from .tcp import (
-    TCP_HEADER_SIZE,
-    ConnectionKey,
-    TCPConnection,
-    TCPFlags,
-    TCPSegment,
-    TCPState,
-)
-from .udp import UDP_HEADER_SIZE, UDPDatagram
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SourceSelector",
-    "TransportObserver",
-    "TransportStack",
-    "UDPSocket",
-    "TCP_HEADER_SIZE",
-    "ConnectionKey",
-    "TCPConnection",
-    "TCPFlags",
-    "TCPSegment",
-    "TCPState",
-    "UDP_HEADER_SIZE",
-    "UDPDatagram",
-]
+__all__, __getattr__ = lazy_exports(globals(), {
+    "sockets": (
+        "SourceSelector", "TransportObserver", "TransportStack", "UDPSocket",
+    ),
+    "tcp": (
+        "TCP_HEADER_SIZE", "ConnectionKey", "TCPConnection", "TCPFlags",
+        "TCPSegment", "TCPState",
+    ),
+    "udp": ("UDP_HEADER_SIZE", "UDPDatagram"),
+})

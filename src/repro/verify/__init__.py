@@ -17,7 +17,9 @@ running":
   minimal JSON reproduction.
 """
 
-from .adversary import Adversary
-from .invariants import INVARIANTS, InvariantMonitor, Violation
+from .._lazy import lazy_exports
 
-__all__ = ["Adversary", "INVARIANTS", "InvariantMonitor", "Violation"]
+__all__, __getattr__ = lazy_exports(globals(), {
+    "adversary": ("Adversary",),
+    "invariants": ("INVARIANTS", "InvariantMonitor", "Violation"),
+})

@@ -65,12 +65,13 @@ class TestCli:
 
     def test_grid_live_runs_sixteen_cells(self, capsys, monkeypatch):
         import repro.cli as cli
+        from repro.core.grid import GRID
 
         calls = []
 
         def fake_cell(in_mode, out_mode, args):
             calls.append((in_mode, out_mode))
-            return cli.GRID.cell(in_mode, out_mode).works_with_tcp
+            return GRID.cell(in_mode, out_mode).works_with_tcp
 
         monkeypatch.setattr(cli, "_run_cell", fake_cell)
         assert main(["grid", "--live"]) == 0
@@ -180,16 +181,16 @@ class TestObsSubcommand:
                                                  capsys):
         # One fold for the run's report, which --obs-out writes as it
         # is, and one for the Chrome file: none for a second report.
-        import repro.obs
+        import repro.obs.observability
 
         folds = []
-        fold = repro.obs.datagrams
+        fold = repro.obs.observability.datagrams
 
         def counted(*args, **kwargs):
             folds.append(1)
             return fold(*args, **kwargs)
 
-        monkeypatch.setattr(repro.obs, "datagrams", counted)
+        monkeypatch.setattr(repro.obs.observability, "datagrams", counted)
         assert main(["--seed", "1996", "--obs-out", str(tmp_path / "r.json"),
                      "obs", "--chrome-trace", str(tmp_path / "c.json")]) == 0
         assert len(folds) == 2
@@ -771,6 +772,7 @@ class TestOutOfRangeFlags:
         ["fuzz", "--iterations", "-1"],
         ["mega", "--datagrams", "-1"],
         ["obs", "--datagrams", "-1"],
+        ["obs", "--duration", "-1"],
     ])
     def test_flag_is_refused_by_name(self, argv, capsys):
         assert main(argv) == 1
