@@ -33,12 +33,10 @@ class TelnetServer:
     def __init__(self, stack: TransportStack, port: int = TELNET_PORT):
         self.stack = stack
         self.port = port
-        self.keystrokes_echoed = 0
         stack.listen(port, self._accept)
 
     def _accept(self, connection: TCPConnection) -> None:
         def on_data(data: object, size: int) -> None:
-            self.keystrokes_echoed += 1
             connection.send(size, data=data)
 
         connection.on_data = on_data

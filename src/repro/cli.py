@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from typing import TYPE_CHECKING, Any, List, Optional
@@ -287,11 +288,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     from .experiment.runner import Runner
     from .experiment.spec import TrafficProgram
 
-    for flag, value in (("--datagrams", args.datagrams),
-                        ("--duration", args.duration)):
-        if value < 0:
-            print(f"error: {flag} must be >= 0, got {value}", file=sys.stderr)
-            return 1
     traffic = None
     if args.datagrams > 0:
         traffic = TrafficProgram(port=7000, uniform={
@@ -356,10 +352,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from .analysis.chaos import demo_plan, run_chaos
     from .netsim.faults import FaultError, FaultPlan
 
-    if not args.interval > 0:
-        print(f"error: --interval must be > 0, got {args.interval}",
-              file=sys.stderr)
-        return 1
     if args.fault_script:
         try:
             plan = FaultPlan.from_file(args.fault_script)
@@ -467,20 +459,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .experiment.sweep import SpecGrid, SweepExecutor, demo_grid
     from .obs.ledger import RunLedger
 
-    for ok, problem in (
-        (args.jobs >= 1, f"--jobs must be >= 1, got {args.jobs}"),
-        (args.max_retries >= 0,
-         f"--max-retries must be >= 0, got {args.max_retries}"),
-        (args.cell_timeout is None or args.cell_timeout > 0,
-         f"--cell-timeout must be > 0, got {args.cell_timeout}"),
-        (args.retry_backoff >= 0,
-         f"--retry-backoff must be >= 0, got {args.retry_backoff}"),
-        (not (args.spec and args.grid),
-         "--spec and --grid are mutually exclusive"),
-    ):
-        if not ok:
-            print(f"error: {problem}", file=sys.stderr)
-            return 1
+    if args.spec and args.grid:
+        print("error: --spec and --grid are mutually exclusive",
+              file=sys.stderr)
+        return 1
     try:
         if args.spec:
             specs = [ExperimentSpec.from_file(args.spec)]
@@ -606,10 +588,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     """Property-based fuzzing with invariants armed; shrink on failure."""
     from .verify.fuzz import run_case, run_fuzz
 
-    if args.iterations < 0:
-        print(f"error: --iterations must be >= 0, got {args.iterations}",
-              file=sys.stderr)
-        return 1
     if args.repro:
         try:
             spec = ExperimentSpec.from_file(args.repro)
@@ -650,19 +628,11 @@ def _cmd_mega(args: argparse.Namespace) -> int:
     """Build a pooled mega world, converse with one host, report."""
     from .analysis.mega import DEFAULT_TARGET_INDEX, run_mega
 
-    if args.hosts < 1:
-        print(f"error: --hosts must be >= 1, got {args.hosts}",
-              file=sys.stderr)
-        return 1
     target = args.target
     if target is None:
         target = min(DEFAULT_TARGET_INDEX, args.hosts - 1)
     elif not 0 <= target < args.hosts:
         print(f"error: --target must be in [0, {args.hosts}), got {target}",
-              file=sys.stderr)
-        return 1
-    if args.datagrams < 0:
-        print(f"error: --datagrams must be >= 0, got {args.datagrams}",
               file=sys.stderr)
         return 1
     runner = None
@@ -992,9 +962,35 @@ def _cmd_policy(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each command's numeric flags as (flag, op, bound).  A bound admits
+# exactly what the command's own validation accepts, so an out-of-range
+# value is refused here by the flag's name instead of deep in a spec.
+# An optional flag left unset (None) is not checked.
+FLAG_BOUNDS = {
+    "obs": (("datagrams", ">=", 0), ("duration", ">=", 0),
+            ("cadence", ">", 0)),
+    "chaos": (("duration", ">", 0), ("interval", ">", 0)),
+    "congestion": (("datagrams", ">=", 1), ("spacing", ">=", 0),
+                   ("size", ">=", 1), ("bandwidth", ">", 0),
+                   ("queue", ">=", 0)),
+    "sweep": (("jobs", ">=", 1), ("max-retries", ">=", 0),
+              ("cell-timeout", ">", 0), ("retry-backoff", ">=", 0)),
+    "fuzz": (("iterations", ">=", 0), ("max-tunnel-depth", ">=", 0)),
+    "mega": (("hosts", ">=", 1), ("domains", ">=", 1),
+             ("duration", ">", 0), ("datagrams", ">=", 0)),
+}
+_OPS = {">": operator.gt, ">=": operator.ge}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, op, bound in FLAG_BOUNDS.get(args.command, ()):
+        value = getattr(args, flag.replace("-", "_"))
+        if value is not None and not _OPS[op](value, bound):
+            print(f"error: --{flag} must be {op} {bound}, got {value}",
+                  file=sys.stderr)
+            return 1
     args._obs = []
     try:
         status = args.func(args)

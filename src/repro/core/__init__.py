@@ -8,8 +8,8 @@
   table (§7, §7.1.2).
 * :mod:`repro.core.selection`  — the per-correspondent delivery-method
   cache and the three probe strategies (§7.1.2).
-* :mod:`repro.core.heuristics` — bind-address intent and port
-  heuristics (§7.1.1), plus the multicast bypass (§6.4).
+* :mod:`repro.core.heuristics` — the port heuristics (§7.1.1), plus
+  the multicast bypass (§6.4).
 * :mod:`repro.core.feedback`   — the retransmission-signal failure
   detector the paper proposes (§7.1.2).
 * :mod:`repro.core.decision`   — :class:`MobilityEngine`, gluing all of
@@ -22,7 +22,7 @@ __all__, __getattr__ = lazy_exports(globals(), {
     "decision": ("CorrespondentKnowledge", "MobilityEngine"),
     "feedback": ("RemoteHealth", "RetransmissionDetector"),
     "grid": ("GRID", "CellClass", "FourByFourGrid", "GridCell", "Requirement"),
-    "heuristics": ("AddressChoice", "BindIntent", "PortHeuristics"),
+    "heuristics": ("AddressChoice", "PortHeuristics"),
     "modes": (
         "AddressPlan", "InMode", "ModeError", "OutMode",
         "build_incoming_direct", "build_outgoing", "classify_incoming",

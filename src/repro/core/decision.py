@@ -4,8 +4,8 @@ One :class:`MobilityEngine` lives on each mobile host and makes the two
 decisions of §7.1 for it:
 
 1. **Temporary address or home address?** (§7.1.1) — via explicit
-   socket bindings (:class:`~repro.core.heuristics.BindIntent`) and
-   port heuristics (:class:`~repro.core.heuristics.PortHeuristics`).
+   socket bindings and port heuristics
+   (:class:`~repro.core.heuristics.PortHeuristics`).
    This runs at the transport decision point: the engine is installed
    as the stack's source selector, so it fires exactly when "TCP
    decides what address to use as the endpoint identifier".
@@ -22,13 +22,13 @@ decisions and performs the sends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, Optional
 
 from ..netsim.addressing import IPAddress
 from ..netsim.packet import IPProto
 from ..transport.sockets import TransportObserver
 from .feedback import RetransmissionDetector
-from .heuristics import AddressChoice, BindIntent, PortHeuristics
+from .heuristics import AddressChoice, PortHeuristics
 from .modes import OutMode
 from .policy import Disposition, MobilityPolicyTable
 from .selection import DeliveryMethodCache, ProbeStrategy
@@ -55,41 +55,27 @@ class MobilityEngine(TransportObserver):
     def __init__(
         self,
         home_address: IPAddress,
+        clock: Callable[[], float],
         strategy: ProbeStrategy = ProbeStrategy.RULE_SEEDED,
         policy: Optional[MobilityPolicyTable] = None,
-        heuristics: Optional[PortHeuristics] = None,
-        retx_threshold: int = 2,
-        upgrade_after: int = 4,
         privacy: bool = False,
-        clock: Optional[Callable[[], float]] = None,
-        failed_ttl: Optional[float] = None,
-        forgive_after: Optional[int] = None,
     ):
+        """``clock`` reads the current time, against which the delivery
+        cache ages failure verdicts."""
         self.home_address = IPAddress(home_address)
         self.policy = policy if policy is not None else MobilityPolicyTable()
-        self.cache = DeliveryMethodCache(
-            strategy=strategy,
-            policy=self.policy,
-            upgrade_after=upgrade_after,
-            clock=clock,
-            failed_ttl=failed_ttl,
-            forgive_after=forgive_after,
-        )
-        self.heuristics = heuristics if heuristics is not None else PortHeuristics()
-        self.bind_intent = BindIntent(self.home_address)
-        self.detector = RetransmissionDetector(
-            threshold=retx_threshold, on_suspect=self._on_suspect
-        )
+        self.cache = DeliveryMethodCache(clock, strategy, self.policy)
+        self.heuristics = PortHeuristics()
+        self.detector = RetransmissionDetector(self._on_suspect)
         self.privacy = privacy
         self.knowledge: Dict[IPAddress, CorrespondentKnowledge] = {}
-        # Host-provided callables (wired by MobileHost.attach_engine):
-        self.physical_addresses: Callable[[], Set[IPAddress]] = lambda: set()
+        # Host-provided callables (wired by MobileHost):
         self.care_of_address: Callable[[], Optional[IPAddress]] = lambda: None
         self.same_segment_test: Callable[[IPAddress], bool] = lambda dst: False
         self.at_home_test: Callable[[], bool] = lambda: True
-        # Mobile IP control peers (the home agent): their traffic never
-        # uses the mode ladder, so feedback about them is not tracked.
-        self.control_addresses: Callable[[], Set[IPAddress]] = lambda: set()
+        # The Mobile IP control peer (the home agent): its traffic never
+        # uses the mode ladder, so feedback about it is not tracked.
+        self.control_address: Optional[IPAddress] = None
         # Observers of mode changes (for logging/benchmarks).
         self.on_mode_change: Optional[Callable[[IPAddress, OutMode, str], None]] = None
         self.decisions_made = 0
@@ -147,13 +133,16 @@ class MobilityEngine(TransportObserver):
         proto: IPProto,
         explicit_bind: Optional[IPAddress],
     ) -> str:
-        # An explicit bind to a physical address wins over everything —
-        # including privacy: binding is a deliberate act, and the Mobile
-        # IP control software itself must register from the care-of
-        # address ("it has no choice", §6.4).
-        forced = self.bind_intent.interpret(explicit_bind, self.physical_addresses())
-        if forced is not None:
-            return forced
+        # An explicit bind wins over everything — including privacy:
+        # binding is a deliberate act, and the Mobile IP control software
+        # itself must register from the care-of address ("it has no
+        # choice", §6.4).  No bind, or a home bind, defers to heuristics
+        # (§7.1.1).  Any other address is Out-DT, even a stale care-of
+        # after a move: the application's intent is honored, and it
+        # fails — the paper's Out-DT disadvantage.
+        if explicit_bind is not None and not explicit_bind.is_unspecified \
+                and explicit_bind != self.home_address:
+            return AddressChoice.TEMPORARY
         if self.privacy:
             # Privacy users never reveal the care-of address (§4 Out-IE
             # motivation), so every conversation uses the home address.
@@ -173,16 +162,14 @@ class MobilityEngine(TransportObserver):
         if self.same_segment_test(dst):
             # Row C: a one-hop peer needs no routers at all.
             return OutMode.OUT_DH
-        mode = self.cache.mode_for(dst)
-        mode = self._constrain(dst, mode)
-        return mode
+        return self._constrain(dst, self.cache.mode_for(dst))
 
     def _constrain(self, dst: IPAddress, mode: OutMode) -> OutMode:
         """Skip modes known-impossible without burning real probes."""
-        entry = self.knowledge_for(dst)
-        while mode is OutMode.OUT_DE and entry.decap_capable is False:
-            demoted = self.cache.on_suspect(dst, "known-not-decap-capable")
-            mode = demoted if demoted is not None else OutMode.OUT_IE
+        if mode is OutMode.OUT_DE and self.knowledge_for(dst).decap_capable is False:
+            # A demotion from Out-DE always lands on Out-IE.
+            self.cache.on_suspect(dst, "known-not-decap-capable")
+            return OutMode.OUT_IE
         return mode
 
     # ------------------------------------------------------------------
@@ -196,12 +183,12 @@ class MobilityEngine(TransportObserver):
     # TransportObserver interface: feed the detector, and count original
     # receives as forward progress for the upgrade logic.
     def on_send(self, remote: IPAddress, retransmission: bool) -> None:
-        if remote in self.control_addresses():
+        if remote == self.control_address:
             return
         self.detector.on_send(remote, retransmission)
 
     def on_receive(self, remote: IPAddress, retransmission: bool) -> None:
-        if remote in self.control_addresses():
+        if remote == self.control_address:
             return
         self.detector.on_receive(remote, retransmission)
         if not retransmission:

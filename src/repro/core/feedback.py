@@ -22,14 +22,14 @@ packet from the remote is forward progress and clears both counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from ..netsim.addressing import IPAddress
 from ..transport.sockets import TransportObserver
 
 __all__ = ["RemoteHealth", "RetransmissionDetector"]
 
-DEFAULT_THRESHOLD = 3
+DEFAULT_THRESHOLD = 2
 
 
 @dataclass
@@ -48,8 +48,8 @@ class RetransmissionDetector(TransportObserver):
 
     def __init__(
         self,
+        on_suspect: Callable[[IPAddress, str], None],
         threshold: int = DEFAULT_THRESHOLD,
-        on_suspect: Optional[Callable[[IPAddress, str], None]] = None,
     ):
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
@@ -94,8 +94,7 @@ class RetransmissionDetector(TransportObserver):
         record.suspicions_raised += 1
         record.retx_to = 0
         record.retx_from = 0
-        if self.on_suspect is not None:
-            self.on_suspect(IPAddress(remote), reason)
+        self.on_suspect(IPAddress(remote), reason)
 
     def reset(self, remote: IPAddress) -> None:
         """Forget state for a remote (e.g. after a deliberate mode change)."""

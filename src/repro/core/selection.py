@@ -7,18 +7,26 @@
     communication methods have proven to be successful and which have
     not."
 
-Three probe strategies, exactly the ones the paper weighs:
+Three probe strategies, exactly the ones the paper weighs.  They differ
+only in where a correspondent's record starts on the Out-DH > Out-DE >
+Out-IE ladder:
 
-* **CONSERVATIVE_FIRST** — start at Out-IE; after a run of successes,
-  tentatively try the next more aggressive mode (Out-DE, then Out-DH),
-  "at each stage being prepared to return to the conservative method
-  if the more aggressive method fails" [Fox96].
-* **AGGRESSIVE_FIRST** — start at Out-DH; on failure fall back to
-  Out-DE and then Out-IE.
+* **CONSERVATIVE_FIRST** — start at Out-IE.
+* **AGGRESSIVE_FIRST** — start at Out-DH.
 * **RULE_SEEDED** — the paper's proposed resolution: consult the
   address-and-mask :class:`~repro.core.policy.MobilityPolicyTable` to
-  decide *per destination* whether to begin optimistically or
-  pessimistically (or to pin Out-IE for privacy/firewall reasons).
+  decide *per destination* whether to begin optimistically (Out-DH) or
+  pessimistically (Out-IE), or to pin Out-IE for privacy/firewall
+  reasons.
+
+From there every record moves the same way.  A failure demotes the
+current mode and records a verdict against it; a run of successes
+tentatively tries the next more aggressive mode without a verdict,
+"at each stage being prepared to return to the conservative method if
+the more aggressive method fails" [Fox96].  Verdicts age: one expires
+``FAILED_MODE_TTL`` seconds after it was recorded, and ``FORGIVE_AFTER``
+consecutive successes at one mode clear them all, so any record climbs
+back up the ladder once the network has changed.
 
 Failure signals come from the §7.1.2 retransmission detector
 (:mod:`repro.core.feedback`); success signals are original packets
@@ -44,6 +52,8 @@ LADDER_AGGRESSIVE_FIRST: List[OutMode] = [
     OutMode.OUT_IE,
 ]
 DEFAULT_UPGRADE_AFTER = 4   # consecutive successes before a tentative upgrade
+FAILED_MODE_TTL = 30.0      # seconds before a failure verdict expires
+FORGIVE_AFTER = 8           # consecutive successes that clear every verdict
 
 
 @dataclass
@@ -66,37 +76,20 @@ class DeliveryMethodCache:
 
     def __init__(
         self,
+        clock: Callable[[], float],
         strategy: ProbeStrategy = ProbeStrategy.RULE_SEEDED,
         policy: Optional[MobilityPolicyTable] = None,
         upgrade_after: int = DEFAULT_UPGRADE_AFTER,
-        clock: Optional[Callable[[], float]] = None,
-        failed_ttl: Optional[float] = None,
-        forgive_after: Optional[int] = None,
     ):
-        """``clock``/``failed_ttl``/``forgive_after`` control failed-mode
-        aging — without them, one transient failure excludes a mode for
-        that correspondent *forever*, which is exactly wrong for the
-        outages the paper's recovery machinery exists to ride out:
-
-        * ``failed_ttl`` (seconds, needs ``clock``): a failure verdict
-          expires after this long, making the mode eligible for
-          re-probing on the next success run.
-        * ``forgive_after`` (consecutive successes): a sustained success
-          run at the current mode clears the whole failed set — the
-          network has demonstrably changed, so old verdicts are stale.
-
-        All three default to ``None`` (no aging), preserving the
-        original permanent-exclusion behaviour for direct cache users;
-        :class:`~repro.core.decision.MobilityEngine` turns aging on.
-        """
+        """``clock`` reads the current time, against which failure
+        verdicts age; ``upgrade_after`` is the success run before each
+        tentative upgrade."""
         if strategy is ProbeStrategy.RULE_SEEDED and policy is None:
             policy = MobilityPolicyTable()
         self.strategy = strategy
         self.policy = policy
         self.upgrade_after = upgrade_after
         self._clock = clock
-        self.failed_ttl = failed_ttl
-        self.forgive_after = forgive_after
         self._records: Dict[IPAddress, CorrespondentRecord] = {}
 
     # ------------------------------------------------------------------
@@ -157,8 +150,7 @@ class DeliveryMethodCache:
         self._expire_failed(record)
         record.suspicions += 1
         record.failed.add(record.current)
-        if self._clock is not None:
-            record.failed_at[record.current] = self._clock()
+        record.failed_at[record.current] = self._clock()
         record.successes_at_current = 0
         if record.current is OutMode.OUT_IE:
             return None
@@ -172,27 +164,19 @@ class DeliveryMethodCache:
 
     def on_progress(self, dst: IPAddress) -> Optional[OutMode]:
         """Forward progress at the current mode.  May tentatively
-        upgrade (conservative-first behaviour) once the success run is
-        long enough.  Returns the new mode if an upgrade happened."""
+        upgrade once the success run is long enough.  Returns the new
+        mode if an upgrade happened."""
         record = self.record_for(dst)
         self._expire_failed(record)
         record.successes_at_current += 1
-        if (
-            record.failed
-            and self.forgive_after is not None
-            and record.successes_at_current >= self.forgive_after
-        ):
+        if record.failed and record.successes_at_current >= FORGIVE_AFTER:
             # Sustained success at this mode: the network has changed
             # enough that the old failure verdicts are stale.  Forgive,
             # so the upgrade logic below may re-probe up the ladder.
             record.failed.clear()
             record.failed_at.clear()
             record.forgiveness += 1
-        if record.pinned:
-            return None
-        if not self._upgrades_enabled(dst):
-            return None
-        if record.successes_at_current < self.upgrade_after:
+        if record.pinned or record.successes_at_current < self.upgrade_after:
             return None
         candidate = self._next_more_aggressive(record)
         if candidate is None:
@@ -201,45 +185,20 @@ class DeliveryMethodCache:
         return candidate
 
     # ------------------------------------------------------------------
-    @property
-    def _reprobe_enabled(self) -> bool:
-        """Whether failed verdicts can age out — and with them, whether
-        a descended ladder can climb again."""
-        return self.forgive_after is not None or (
-            self._clock is not None and self.failed_ttl is not None
-        )
-
     def _expire_failed(self, record: CorrespondentRecord) -> None:
-        """Lazily drop failure verdicts older than ``failed_ttl``."""
-        if self._clock is None or self.failed_ttl is None or not record.failed_at:
+        """Lazily drop failure verdicts at least ``FAILED_MODE_TTL`` old."""
+        if not record.failed_at:
             return
         now = self._clock()
         expired = [
             mode for mode, when in record.failed_at.items()
-            if now - when >= self.failed_ttl
+            if now - when >= FAILED_MODE_TTL
         ]
         for mode in expired:
             record.failed_at.pop(mode, None)
             record.failed.discard(mode)
         if expired:
             record.forgiveness += 1
-
-    def _upgrades_enabled(self, dst: IPAddress) -> bool:
-        if self.strategy is ProbeStrategy.CONSERVATIVE_FIRST:
-            return True
-        if self.strategy is ProbeStrategy.AGGRESSIVE_FIRST:
-            # Started at the top, so anything above the current mode
-            # has already failed; the ladder only descends — unless
-            # aging is on, in which case expired/forgiven verdicts make
-            # re-probing upward meaningful again.
-            return self._reprobe_enabled
-        # RULE_SEEDED pessimistic destinations behave conservatively;
-        # optimistic ones started at the top like aggressive-first.
-        assert self.policy is not None
-        return (
-            self.policy.lookup(dst) is Disposition.PESSIMISTIC
-            or self._reprobe_enabled
-        )
 
     def _next_more_aggressive(
         self, record: CorrespondentRecord

@@ -625,8 +625,9 @@ def demo_grid(
     seeds: Optional[List[int]] = None,
     datagrams: int = 60,
 ) -> SpecGrid:
-    """The worked 4x4-coverage sweep (see README): awareness ×
-    visited-domain posture × probe strategy, crossed with seeds.
+    """The worked 4x4-coverage sweep (see README): awareness × seeds ×
+    probe strategy × visited-domain posture, in the axis order of
+    ``examples/grid_4x4.json``, so both expand to the same cells.
 
     Sixteen-plus cells of world configuration around the canonical
     traffic workload — the cross-product the paper's Figure 10
@@ -645,9 +646,9 @@ def demo_grid(
     return SpecGrid(
         base=base,
         axes={
-            "seed": list(seeds) if seeds else [1996, 2024],
             "awareness": ["conventional", "decap-capable", "mobile-aware"],
-            "visited_filtering": [True, False],
+            "seed": list(seeds) if seeds else [1996, 2024],
             "strategy": ["rule-seeded", "conservative-first"],
+            "visited_filtering": [True, False],
         },
     )

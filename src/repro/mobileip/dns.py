@@ -119,7 +119,6 @@ class DNSServer(Node):
         self._socket = self.stack.udp_socket(DNS_PORT)
         self._socket.on_receive(self._query_input)
         self._zone: Dict[str, _ZoneEntry] = {}
-        self.queries_served = 0
 
     # ------------------------------------------------------------------
     # Zone management
@@ -162,7 +161,6 @@ class DNSServer(Node):
             return
         if not isinstance(data, DNSQuery):
             return
-        self.queries_served += 1
         entry = self._zone.get(data.name)
         if entry is None:
             answer = DNSAnswer(data.name, data.ident, None)
@@ -209,12 +207,10 @@ class Resolver:
         self._socket: UDPSocket = stack.udp_socket()
         self._socket.on_receive(self._answer_input)
         self._pending: Dict[int, Callable[[DNSAnswer], None]] = {}
-        self.lookups = 0
 
     def lookup(self, name: str, callback: Callable[[DNSAnswer], None]) -> int:
         ident = self.stack.node.simulator.next_token()
         self._pending[ident] = callback
-        self.lookups += 1
         query = DNSQuery(name, ident, want_tmp=self.want_tmp)
         self._socket.sendto(query, query.size, self.server, DNS_PORT)
         return ident

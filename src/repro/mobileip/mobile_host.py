@@ -29,7 +29,7 @@ A :class:`MobileHost` is a :class:`~repro.netsim.node.Node` carrying:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from ..core.decision import MobilityEngine
 from ..core.modes import OutMode
@@ -61,11 +61,6 @@ REGISTRATION_RETRY_JITTER = 0.1     # up to +10% random spread per retry
 REGISTRATION_MAX_RETRIES = 4
 REREGISTER_AFTER_GIVEUP = 30.0      # keep trying (slowly) after give-up
 DEFAULT_REG_LIFETIME = 300.0
-# Failed-mode aging defaults for the engine's delivery cache: a failure
-# verdict expires after this long, and a sustained success run clears
-# the whole failed set (see repro.core.selection).
-FAILED_MODE_TTL = 30.0
-FORGIVE_AFTER_SUCCESSES = 8
 
 
 class MobileHost(Node):
@@ -102,18 +97,15 @@ class MobileHost(Node):
 
         self.engine = MobilityEngine(
             self.home_address,
+            clock=lambda: simulator.clock.now,
             strategy=strategy,
             policy=policy,
             privacy=privacy,
-            clock=lambda: simulator.clock.now,
-            failed_ttl=FAILED_MODE_TTL,
-            forgive_after=FORGIVE_AFTER_SUCCESSES,
         )
-        self.engine.physical_addresses = self._physical_addresses
         self.engine.care_of_address = lambda: self.care_of
         self.engine.same_segment_test = self._same_segment
         self.engine.at_home_test = lambda: self.at_home
-        self.engine.control_addresses = lambda: {self.home_agent_address}
+        self.engine.control_address = self.home_agent_address
 
         self.stack = TransportStack(self)
         self.stack.source_selector = self.engine.select_source
@@ -587,13 +579,6 @@ class MobileHost(Node):
     # ------------------------------------------------------------------
     # Engine callbacks
     # ------------------------------------------------------------------
-    def _physical_addresses(self) -> Set[IPAddress]:
-        addresses: Set[IPAddress] = set()
-        for iface in self.interfaces.values():
-            if iface.ip is not None:
-                addresses.add(iface.ip)
-        return addresses
-
     def _same_segment(self, dst: IPAddress) -> bool:
         for iface in self.interfaces.values():
             if iface.segment is None or not iface.up:

@@ -240,7 +240,6 @@ class FaultInjector:
         self.sim = sim
         self.net = net
         self.applied: Dict[str, int] = {}
-        self.log: List[Tuple[float, str, str]] = []  # (time, kind, target)
         self._total = 0
         metrics = sim.metrics
         metrics.counter("fault.total", read=lambda: self._total)
@@ -315,7 +314,6 @@ class FaultInjector:
         kind = event.kind.value
         self._total += 1
         self.applied[kind] = self.applied.get(kind, 0) + 1
-        self.log.append((self.sim.now, kind, event.target))
 
     def _apply(self, event: FaultEvent) -> None:
         target = self._resolve(event)

@@ -1,30 +1,20 @@
 """Tests for the MobilityEngine (the two §7.1 decisions, glued)."""
 
 
-from repro.core.decision import MobilityEngine
+from fake_clock import COA, HOME, away_engine, make_engine
+
 from repro.core.modes import OutMode
 from repro.core.policy import Disposition, MobilityPolicyTable
 from repro.core.selection import ProbeStrategy
 from repro.netsim import IPAddress
 from repro.netsim.packet import IPProto
 
-HOME = IPAddress("10.1.0.10")
-COA = IPAddress("10.2.0.2")
 CH = IPAddress("10.3.0.2")
-
-
-def away_engine(**kwargs) -> MobilityEngine:
-    """An engine configured as a host visiting a foreign network."""
-    engine = MobilityEngine(HOME, **kwargs)
-    engine.care_of_address = lambda: COA
-    engine.at_home_test = lambda: False
-    engine.physical_addresses = lambda: {COA}
-    return engine
 
 
 class TestSourceSelection:
     def test_at_home_always_home_address(self):
-        engine = MobilityEngine(HOME)
+        engine = make_engine()
         engine.at_home_test = lambda: True
         assert engine.select_source(CH, 80, IPProto.TCP, None) == HOME
 
@@ -56,7 +46,7 @@ class TestSourceSelection:
         assert engine.select_source(CH, 23, IPProto.TCP, None) == COA
 
     def test_no_care_of_address_means_home(self):
-        engine = MobilityEngine(HOME)
+        engine = make_engine()
         engine.at_home_test = lambda: False
         engine.care_of_address = lambda: None
         assert engine.select_source(CH, 80, IPProto.TCP, None) == HOME
@@ -101,8 +91,8 @@ class TestOutModeDecision:
 
     def test_progress_upgrades_and_notifies(self):
         changes = []
-        engine = away_engine(strategy=ProbeStrategy.CONSERVATIVE_FIRST,
-                             upgrade_after=2)
+        engine = away_engine(strategy=ProbeStrategy.CONSERVATIVE_FIRST)
+        engine.cache.upgrade_after = 2
         engine.on_mode_change = lambda ip, mode, why: changes.append(mode)
         engine.out_mode_for(CH)
         engine.on_receive(CH, retransmission=False)
@@ -110,8 +100,7 @@ class TestOutModeDecision:
         assert changes == [OutMode.OUT_DE]
 
     def test_retransmissions_flow_to_detector(self):
-        engine = away_engine(strategy=ProbeStrategy.AGGRESSIVE_FIRST,
-                             retx_threshold=2)
+        engine = away_engine(strategy=ProbeStrategy.AGGRESSIVE_FIRST)
         engine.out_mode_for(CH)
         engine.on_send(CH, retransmission=True)
         engine.on_send(CH, retransmission=True)
@@ -120,8 +109,7 @@ class TestOutModeDecision:
 
 class TestMovement:
     def test_on_moved_resets_cache_and_detector(self):
-        engine = away_engine(strategy=ProbeStrategy.AGGRESSIVE_FIRST,
-                             retx_threshold=2)
+        engine = away_engine(strategy=ProbeStrategy.AGGRESSIVE_FIRST)
         engine.out_mode_for(CH)
         engine._on_suspect(CH, "old network was filtered")
         assert engine.cache.record_for(CH).current is OutMode.OUT_DE

@@ -1,42 +1,52 @@
-"""Tests for the §7.1.1 heuristics and the §7.1.2 feedback detector."""
+"""Tests for the §7.1.1 address choice and the §7.1.2 feedback detector."""
 
 import pytest
+from fake_clock import COA, HOME, away_engine
 
 from repro.core.feedback import RetransmissionDetector
-from repro.core.heuristics import AddressChoice, BindIntent, PortHeuristics
+from repro.core.heuristics import AddressChoice, PortHeuristics
 from repro.netsim import IPAddress
 from repro.netsim.packet import IPProto
 
-HOME = IPAddress("10.1.0.10")
-COA = IPAddress("10.2.0.2")
 CH = IPAddress("10.3.0.2")
 
 
+def ignore(remote, reason):
+    """An ``on_suspect`` callback for tests that watch counters only."""
+
+
 class TestBindIntent:
+    """§7.1.1's explicit-bind rule, as a host away from home applies it.
+
+    Under the port heuristics telnet (TCP 23) uses the home address and
+    HTTP (TCP 80) the care-of address, so a bind that defers to them
+    shows on both ports, and a bind that forces Out-DT shows on 23.
+    """
+
     def setup_method(self):
-        self.intent = BindIntent(HOME)
-        self.physical = {COA}
+        self.engine = away_engine()
+
+    def select(self, port, bound):
+        return self.engine.select_source(CH, port, IPProto.TCP, bound)
 
     def test_unbound_defers_to_heuristics(self):
-        assert self.intent.interpret(None, self.physical) is None
+        assert self.select(23, None) == HOME
+        assert self.select(80, None) == COA
 
     def test_bound_to_unspecified_defers(self):
-        assert self.intent.interpret(IPAddress("0.0.0.0"), self.physical) is None
+        assert self.select(23, IPAddress("0.0.0.0")) == HOME
+        assert self.select(80, IPAddress("0.0.0.0")) == COA
 
     def test_bound_to_home_defers(self):
         """§7.1.1: home binding = 'application is not mobile-aware'."""
-        assert self.intent.interpret(HOME, self.physical) is None
+        assert self.select(23, HOME) == HOME
+        assert self.select(80, HOME) == COA
 
     def test_bound_to_physical_forces_temporary(self):
-        assert (
-            self.intent.interpret(COA, self.physical) == AddressChoice.TEMPORARY
-        )
+        assert self.select(23, COA) == COA
 
     def test_bound_to_stale_care_of_still_temporary(self):
-        stale = IPAddress("10.9.0.9")
-        assert (
-            self.intent.interpret(stale, self.physical) == AddressChoice.TEMPORARY
-        )
+        assert self.select(23, IPAddress("10.9.0.9")) == COA
 
 
 class TestPortHeuristics:
@@ -135,7 +145,7 @@ class TestRetransmissionDetector:
         assert fired == ["10.3.0.2"]
 
     def test_health_accounting(self):
-        detector = RetransmissionDetector(threshold=10)
+        detector = RetransmissionDetector(ignore, threshold=10)
         detector.on_send(CH, retransmission=False)
         detector.on_send(CH, retransmission=True)
         detector.on_receive(CH, retransmission=False)
@@ -145,11 +155,11 @@ class TestRetransmissionDetector:
         assert health.retx_to == 0  # reset by the original receive
 
     def test_reset_forgets_remote(self):
-        detector = RetransmissionDetector(threshold=2)
+        detector = RetransmissionDetector(ignore)
         detector.on_send(CH, retransmission=True)
         detector.reset(CH)
         assert detector.health(CH).retx_to == 0
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
-            RetransmissionDetector(threshold=0)
+            RetransmissionDetector(ignore, threshold=0)

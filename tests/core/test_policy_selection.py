@@ -1,9 +1,11 @@
 """Tests for the mobility policy table and the delivery-method cache."""
 
 
+from fake_clock import FakeClock, make_cache
+
 from repro.core.modes import OutMode
 from repro.core.policy import Disposition, MobilityPolicyTable
-from repro.core.selection import DeliveryMethodCache, ProbeStrategy
+from repro.core.selection import FAILED_MODE_TTL, FORGIVE_AFTER, ProbeStrategy
 from repro.netsim import IPAddress
 
 CH = IPAddress("10.3.0.2")
@@ -51,27 +53,27 @@ class TestPolicyTable:
 
 class TestCacheStartingModes:
     def test_conservative_first_starts_at_ie(self):
-        cache = DeliveryMethodCache(ProbeStrategy.CONSERVATIVE_FIRST)
+        cache = make_cache(ProbeStrategy.CONSERVATIVE_FIRST)
         assert cache.mode_for(CH) is OutMode.OUT_IE
 
     def test_aggressive_first_starts_at_dh(self):
-        cache = DeliveryMethodCache(ProbeStrategy.AGGRESSIVE_FIRST)
+        cache = make_cache(ProbeStrategy.AGGRESSIVE_FIRST)
         assert cache.mode_for(CH) is OutMode.OUT_DH
 
     def test_rule_seeded_optimistic(self):
         policy = MobilityPolicyTable()
         policy.add("10.3.0.0/16", Disposition.OPTIMISTIC)
-        cache = DeliveryMethodCache(ProbeStrategy.RULE_SEEDED, policy=policy)
+        cache = make_cache(ProbeStrategy.RULE_SEEDED, policy=policy)
         assert cache.mode_for(CH) is OutMode.OUT_DH
 
     def test_rule_seeded_pessimistic_default(self):
-        cache = DeliveryMethodCache(ProbeStrategy.RULE_SEEDED)
+        cache = make_cache(ProbeStrategy.RULE_SEEDED)
         assert cache.mode_for(CH) is OutMode.OUT_IE
 
     def test_rule_seeded_home_only_pins(self):
         policy = MobilityPolicyTable()
         policy.add("10.3.0.0/16", Disposition.HOME_ONLY)
-        cache = DeliveryMethodCache(ProbeStrategy.RULE_SEEDED, policy=policy)
+        cache = make_cache(ProbeStrategy.RULE_SEEDED, policy=policy)
         assert cache.mode_for(CH) is OutMode.OUT_IE
         # Pinned: progress never upgrades it.
         for _ in range(50):
@@ -82,14 +84,14 @@ class TestCacheStartingModes:
 class TestDemotion:
     def test_aggressive_walks_down_the_ladder(self):
         """§7.1.2: Out-DH fails -> try Out-DE -> then Out-IE."""
-        cache = DeliveryMethodCache(ProbeStrategy.AGGRESSIVE_FIRST)
+        cache = make_cache(ProbeStrategy.AGGRESSIVE_FIRST)
         assert cache.mode_for(CH) is OutMode.OUT_DH
         assert cache.on_suspect(CH) is OutMode.OUT_DE
         assert cache.on_suspect(CH) is OutMode.OUT_IE
         assert cache.on_suspect(CH) is None  # nowhere left to go
 
     def test_failed_modes_remembered(self):
-        cache = DeliveryMethodCache(ProbeStrategy.AGGRESSIVE_FIRST)
+        cache = make_cache(ProbeStrategy.AGGRESSIVE_FIRST)
         cache.mode_for(CH)
         cache.on_suspect(CH)
         record = cache.record_for(CH)
@@ -98,7 +100,7 @@ class TestDemotion:
         assert record.suspicions == 1
 
     def test_suspect_on_fresh_record_starts_it(self):
-        cache = DeliveryMethodCache(ProbeStrategy.AGGRESSIVE_FIRST)
+        cache = make_cache(ProbeStrategy.AGGRESSIVE_FIRST)
         # No mode_for called yet; a suspicion still demotes sanely.
         assert cache.on_suspect(CH) is OutMode.OUT_DE
 
@@ -107,7 +109,7 @@ class TestUpgrades:
     def test_conservative_upgrades_after_success_run(self):
         """[Fox96]: 'tentatively try each of the more aggressive
         options' — IE -> DE -> DH, one step per success run."""
-        cache = DeliveryMethodCache(
+        cache = make_cache(
             ProbeStrategy.CONSERVATIVE_FIRST, upgrade_after=3
         )
         assert cache.mode_for(CH) is OutMode.OUT_IE
@@ -119,7 +121,7 @@ class TestUpgrades:
         assert cache.on_progress(CH) is OutMode.OUT_DH
 
     def test_failed_mode_not_retried_on_upgrade(self):
-        cache = DeliveryMethodCache(
+        cache = make_cache(
             ProbeStrategy.CONSERVATIVE_FIRST, upgrade_after=2
         )
         cache.mode_for(CH)
@@ -132,7 +134,7 @@ class TestUpgrades:
         assert cache.on_progress(CH) is OutMode.OUT_DH
 
     def test_everything_failed_stays_conservative(self):
-        cache = DeliveryMethodCache(
+        cache = make_cache(
             ProbeStrategy.CONSERVATIVE_FIRST, upgrade_after=1
         )
         cache.mode_for(CH)
@@ -142,40 +144,50 @@ class TestUpgrades:
             assert cache.on_progress(CH) is None
         assert record.current is OutMode.OUT_IE
 
-    def test_aggressive_first_never_upgrades(self):
-        cache = DeliveryMethodCache(ProbeStrategy.AGGRESSIVE_FIRST, upgrade_after=1)
+    def assert_climbs_back_to_out_dh(self, cache, clock):
+        """A record demoted from Out-DH stays put until its verdict is
+        forgiven or expires, then climbs straight back."""
         cache.mode_for(CH)
-        cache.on_suspect(CH)   # now at DE
-        for _ in range(10):
+        cache.on_suspect(CH)   # Out-DH fails: now at Out-DE
+        for _ in range(FORGIVE_AFTER - 1):
             assert cache.on_progress(CH) is None
-        assert cache.record_for(CH).current is OutMode.OUT_DE
+        assert cache.on_progress(CH) is OutMode.OUT_DH
+        assert cache.on_suspect(CH) is OutMode.OUT_DE
+        clock.now += FAILED_MODE_TTL - 1
+        assert cache.on_progress(CH) is None
+        clock.now += 1
+        assert cache.on_progress(CH) is OutMode.OUT_DH
 
-    def test_rule_seeded_optimistic_never_upgrades(self):
+    def test_aggressive_first_climbs_back(self):
+        clock = FakeClock()
+        cache = make_cache(ProbeStrategy.AGGRESSIVE_FIRST, clock=clock,
+                           upgrade_after=1)
+        self.assert_climbs_back_to_out_dh(cache, clock)
+
+    def test_rule_seeded_optimistic_climbs_back(self):
         policy = MobilityPolicyTable()
         policy.add("10.3.0.0/16", Disposition.OPTIMISTIC)
-        cache = DeliveryMethodCache(ProbeStrategy.RULE_SEEDED, policy=policy,
-                                    upgrade_after=1)
-        cache.mode_for(CH)
-        cache.on_suspect(CH)
-        for _ in range(5):
-            assert cache.on_progress(CH) is None
+        clock = FakeClock()
+        cache = make_cache(ProbeStrategy.RULE_SEEDED, clock=clock,
+                           policy=policy, upgrade_after=1)
+        self.assert_climbs_back_to_out_dh(cache, clock)
 
     def test_rule_seeded_pessimistic_upgrades(self):
-        cache = DeliveryMethodCache(ProbeStrategy.RULE_SEEDED, upgrade_after=1)
+        cache = make_cache(ProbeStrategy.RULE_SEEDED, upgrade_after=1)
         cache.mode_for(CH)
         assert cache.on_progress(CH) is OutMode.OUT_DE
 
 
 class TestLifecycle:
     def test_reset_all_forgets_history(self):
-        cache = DeliveryMethodCache(ProbeStrategy.AGGRESSIVE_FIRST)
+        cache = make_cache(ProbeStrategy.AGGRESSIVE_FIRST)
         cache.mode_for(CH)
         cache.on_suspect(CH)
         cache.reset_all()
         assert cache.mode_for(CH) is OutMode.OUT_DH  # fresh start
 
     def test_forget_single(self):
-        cache = DeliveryMethodCache(ProbeStrategy.AGGRESSIVE_FIRST)
+        cache = make_cache(ProbeStrategy.AGGRESSIVE_FIRST)
         other = IPAddress("10.4.0.1")
         cache.mode_for(CH)
         cache.mode_for(other)
@@ -185,18 +197,18 @@ class TestLifecycle:
         assert cache.record_for(other).current is OutMode.OUT_DH
 
     def test_packets_counted(self):
-        cache = DeliveryMethodCache(ProbeStrategy.CONSERVATIVE_FIRST)
+        cache = make_cache(ProbeStrategy.CONSERVATIVE_FIRST)
         for _ in range(5):
             cache.mode_for(CH)
         assert cache.record_for(CH).packets_sent == 5
 
     def test_total_mode_changes(self):
-        cache = DeliveryMethodCache(ProbeStrategy.AGGRESSIVE_FIRST)
+        cache = make_cache(ProbeStrategy.AGGRESSIVE_FIRST)
         cache.mode_for(CH)
         cache.on_suspect(CH)
         cache.on_suspect(CH)
         assert cache.total_mode_changes() == 2
 
     def test_rule_seeded_requires_or_creates_policy(self):
-        cache = DeliveryMethodCache(ProbeStrategy.RULE_SEEDED)
+        cache = make_cache(ProbeStrategy.RULE_SEEDED)
         assert cache.policy is not None

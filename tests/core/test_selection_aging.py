@@ -1,90 +1,61 @@
 """Failed-mode aging and forgiveness in the delivery-method cache.
 
-The original cache never removed entries from ``record.failed``, so one
-transient failure excluded Out-DH/Out-DE for a correspondent forever.
-These tests pin the two recovery paths: TTL expiry (wall-clock aging
-via an injected clock) and forgiveness (a sustained success run clears
-the slate), plus the detector-side reset on movement.
+Every mobile host ages its failure verdicts, so one transient failure
+does not exclude Out-DH/Out-DE for a correspondent forever.  These
+tests pin the two recovery paths: TTL expiry (a verdict expires
+``FAILED_MODE_TTL`` seconds after it was recorded) and forgiveness
+(``FORGIVE_AFTER`` consecutive successes clear the slate), plus the
+detector-side reset on movement.
 """
 
 from __future__ import annotations
 
+from fake_clock import FakeClock, make_cache, make_engine
+
 from repro.core.feedback import RetransmissionDetector
 from repro.core.modes import OutMode
 from repro.core.policy import Disposition, MobilityPolicyTable
-from repro.core.selection import DeliveryMethodCache, ProbeStrategy
+from repro.core.selection import FAILED_MODE_TTL, FORGIVE_AFTER, ProbeStrategy
 
 DST = "10.3.0.2"
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
-class TestPermanentExclusionDefault:
-    def test_no_aging_without_configuration(self):
-        # Back-compat: a bare cache still never forgets a failure.
-        cache = DeliveryMethodCache(strategy=ProbeStrategy.CONSERVATIVE_FIRST)
-        for _ in range(4):
-            cache.on_progress(DST)
-        assert cache.record_for(DST).current is OutMode.OUT_DE
-        cache.on_suspect(DST)  # Out-DE failed -> back to Out-IE
-        assert cache.record_for(DST).current is OutMode.OUT_IE
-        for _ in range(100):
-            cache.on_progress(DST)
-        # Out-DE stays excluded; upgrades skip straight to Out-DH.
-        record = cache.record_for(DST)
-        assert OutMode.OUT_DE in record.failed
-        assert record.forgiveness == 0
 
 
 class TestFailedTtl:
     def test_failure_verdict_expires_after_ttl(self):
         clock = FakeClock()
-        cache = DeliveryMethodCache(
-            strategy=ProbeStrategy.CONSERVATIVE_FIRST,
-            upgrade_after=2,
-            clock=clock,
-            failed_ttl=30.0,
-        )
+        cache = make_cache(ProbeStrategy.CONSERVATIVE_FIRST, clock=clock,
+                           upgrade_after=2)
         for _ in range(2):
             cache.on_progress(DST)
         assert cache.record_for(DST).current is OutMode.OUT_DE
-        cache.on_suspect(DST)
+        cache.on_suspect(DST)  # Out-DE fails at t=0 -> back to Out-IE
         record = cache.record_for(DST)
         assert record.current is OutMode.OUT_IE
         assert OutMode.OUT_DE in record.failed
 
         # Within the TTL the verdict stands: upgrades skip Out-DE.
-        clock.now = 10.0
+        clock.now = FAILED_MODE_TTL - 1
         for _ in range(2):
             cache.on_progress(DST)
-        assert cache.record_for(DST).current is OutMode.OUT_DH
+        assert record.current is OutMode.OUT_DH
 
-        # After the TTL the verdict expires and Out-DE is probeable again.
+        # Out-DH fails too.  A TTL after the first verdict only that one
+        # has expired: Out-DE is probeable again, Out-DH is not.
         cache.on_suspect(DST)  # DH fails -> DE is still failed -> IE
-        assert cache.record_for(DST).current is OutMode.OUT_IE
-        clock.now = 50.0
+        assert record.current is OutMode.OUT_IE
+        clock.now = FAILED_MODE_TTL
         cache.on_progress(DST)
-        record = cache.record_for(DST)
         assert OutMode.OUT_DE not in record.failed
-        assert record.forgiveness >= 1
+        assert OutMode.OUT_DH in record.failed
+        assert record.forgiveness == 1
 
     def test_aging_enables_reprobe_for_aggressive_first(self):
         clock = FakeClock()
-        cache = DeliveryMethodCache(
-            strategy=ProbeStrategy.AGGRESSIVE_FIRST,
-            upgrade_after=2,
-            clock=clock,
-            failed_ttl=20.0,
-        )
+        cache = make_cache(ProbeStrategy.AGGRESSIVE_FIRST, clock=clock,
+                           upgrade_after=2)
         cache.on_suspect(DST)  # Out-DH fails -> Out-DE
         assert cache.record_for(DST).current is OutMode.OUT_DE
-        clock.now = 25.0
+        clock.now = FAILED_MODE_TTL
         for _ in range(2):
             cache.on_progress(DST)
         # The expired Out-DH verdict lets the ladder climb back up.
@@ -93,37 +64,30 @@ class TestFailedTtl:
 
 class TestForgiveness:
     def test_sustained_success_clears_failed_set(self):
-        cache = DeliveryMethodCache(
-            strategy=ProbeStrategy.CONSERVATIVE_FIRST,
-            upgrade_after=2,
-            forgive_after=5,
-        )
+        cache = make_cache(ProbeStrategy.CONSERVATIVE_FIRST, upgrade_after=2)
         for _ in range(2):
             cache.on_progress(DST)
         cache.on_suspect(DST)  # Out-DE failed -> Out-IE
         record = cache.record_for(DST)
         assert record.failed == {OutMode.OUT_DE}
         # Two successes upgrade (to Out-DH, skipping failed Out-DE) and
-        # reset the run counter; five more at Out-DH reach forgiveness.
-        for _ in range(7):
+        # reset the run counter; FORGIVE_AFTER more at Out-DH forgive.
+        for _ in range(2 + FORGIVE_AFTER - 1):
             cache.on_progress(DST)
-        record = cache.record_for(DST)
         assert record.current is OutMode.OUT_DH
+        assert record.failed == {OutMode.OUT_DE}
+        cache.on_progress(DST)
         assert record.failed == set()
         assert record.forgiveness == 1
 
     def test_rule_seeded_optimistic_can_reprobe_with_aging(self):
         policy = MobilityPolicyTable(default=Disposition.OPTIMISTIC)
-        cache = DeliveryMethodCache(
-            strategy=ProbeStrategy.RULE_SEEDED,
-            policy=policy,
-            upgrade_after=2,
-            forgive_after=4,
-        )
+        cache = make_cache(ProbeStrategy.RULE_SEEDED, policy=policy,
+                           upgrade_after=2)
         assert cache.record_for(DST).current is OutMode.OUT_DH
         cache.on_suspect(DST)
         assert cache.record_for(DST).current is OutMode.OUT_DE
-        for _ in range(4):
+        for _ in range(FORGIVE_AFTER):
             cache.on_progress(DST)
         # Forgiven and re-probed back up to Out-DH.
         assert cache.record_for(DST).current is OutMode.OUT_DH
@@ -150,9 +114,7 @@ class TestDetectorReset:
         # The transport stack holds the detector through its observer
         # list indirectly via the engine; on_moved must clear state in
         # place, not swap the object out from under held references.
-        from repro.core.decision import MobilityEngine
-
-        engine = MobilityEngine("10.1.0.10")
+        engine = make_engine()
         detector = engine.detector
         engine.detector.on_send("10.3.0.2", retransmission=True)
         engine.on_moved()

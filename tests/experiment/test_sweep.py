@@ -214,6 +214,13 @@ class TestExampleFiles:
         # It is exactly the worked demo grid the CLI runs by default.
         assert grid.to_dict() == demo_grid().to_dict()
 
+    def test_grid_4x4_expands_like_the_demo_grid(self):
+        # Same cells in the same order under the same labels, so a bare
+        # `sweep` and `sweep --grid examples/grid_4x4.json` agree.
+        grid = SpecGrid.from_file(str(self.EXAMPLES / "grid_4x4.json"))
+        assert [s.to_dict() for s in grid.expand()] == \
+            [s.to_dict() for s in demo_grid().expand()]
+
     def test_violating_spec_violates(self):
         spec = ExperimentSpec.from_file(
             str(self.EXAMPLES / "violating_spec.json"))

@@ -773,6 +773,16 @@ class TestOutOfRangeFlags:
         ["mega", "--datagrams", "-1"],
         ["obs", "--datagrams", "-1"],
         ["obs", "--duration", "-1"],
+        ["obs", "--cadence", "0"],
+        ["chaos", "--duration", "0"],
+        ["congestion", "--datagrams", "0"],
+        ["congestion", "--spacing", "-1"],
+        ["congestion", "--size", "0"],
+        ["congestion", "--bandwidth", "0"],
+        ["congestion", "--queue", "-1"],
+        ["fuzz", "--max-tunnel-depth", "-1"],
+        ["mega", "--duration", "0"],
+        ["mega", "--domains", "0"],
     ])
     def test_flag_is_refused_by_name(self, argv, capsys):
         assert main(argv) == 1
